@@ -21,7 +21,7 @@ from .metrics import (MetricsReport, THRESHOLDS, aiu, auroc, evaluate,
                       f_measure, iou, ods, ois)
 from .model import (AiftParams, discriminate, generate, init_params,
                     load_checkpoint, save_checkpoint)
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam, AdamState
 from .spectral import (center_shift, conjugate_symmetry_error, dft2, idft2,
                        spectrum_image)
 from .training import (EpochRecord, StepLosses, TrainConfig, TrainLog,

@@ -376,29 +376,32 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
 # -- convolution --------------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    """Lay the (kh, kw) sliding windows of a padded [N, C, Hp, Wp] map out as
-    a [N * Ho * Wo, C * kh * kw] matrix (rows in batch/row/column order)."""
-    n, c, hp, wp = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * ho * wo, c * kh * kw), ho, wo
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """Lay the (kh, kw) sliding windows of x [N, C, H, W], zero-padded by
+    ``padding``, out as a [N * Ho * Wo, C * kh * kw] matrix (rows in
+    batch/row/column order).  The padded copy is channel-last, so each row
+    is gathered from short contiguous runs."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]
+    ho, wo = win.shape[1], win.shape[2]
+    return np.ascontiguousarray(win).reshape(n * ho * wo, c * kh * kw), ho, wo
 
 
 def _scatter_taps(cols: np.ndarray, n: int, c: int, ho: int, wo: int,
                   kh: int, kw: int, stride: int, full_h: int, full_w: int) -> np.ndarray:
     """Inverse of _im2col up to summation: add every window entry back at the
-    padded position it was read from.  ``cols`` is [N * Ho * Wo, C * kh * kw]."""
-    out = np.zeros((n, c, full_h, full_w))
-    cols = cols.reshape(n, ho, wo, c, kh, kw)
+    padded position it was read from.  ``cols`` is [N * Ho * Wo, kh * kw * C]
+    with tap-major columns, so each tap is a contiguous channel-last block;
+    the sum is built channel-last and returned as an [N, C, H, W] view."""
+    out = np.zeros((n, full_h, full_w, c))
+    taps = cols.reshape(n, ho, wo, kh, kw, c)
     for i in range(kh):
         for j in range(kw):
-            piece = cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            out[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += piece
-    return out
+            out[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += taps[:, :, :, i, j]
+    return out.transpose(0, 3, 1, 2)
 
 
 def _check_conv_args(stride: int, padding: int) -> None:
@@ -427,21 +430,17 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             f"conv2d: kernel ({kh}x{kw}) larger than padded input "
             f"({h + 2 * padding}x{w + 2 * padding})")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
+    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     kmat = k.data.reshape(kk, c * kh * kw)
     out = (cols @ kmat.T).reshape(n, ho, wo, kk).transpose(0, 3, 1, 2)
-    full_h, full_w = xp.shape[2], xp.shape[3]
+    full_h, full_w = h + 2 * padding, w + 2 * padding
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, kk)
         if k.requires_grad:
             _accumulate(k, (g2.T @ cols).reshape(kk, c, kh, kw))
         if x.requires_grad:
-            gcols = g2 @ kmat
+            gcols = g2 @ k.data.transpose(0, 2, 3, 1).reshape(kk, kh * kw * c)
             gxp = _scatter_taps(gcols, n, c, ho, wo, kh, kw, stride, full_h, full_w)
             if padding:
                 gxp = gxp[:, :, padding:full_h - padding, padding:full_w - padding]
@@ -476,16 +475,12 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) ->
 
     x2 = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
     kmat = k.data.reshape(c, kk * kh * kw)
-    cols = x2 @ kmat
+    cols = x2 @ k.data.transpose(0, 2, 3, 1).reshape(c, kh * kw * kk)
     full = _scatter_taps(cols, n, kk, h, w, kh, kw, stride, full_h, full_w)
     out = full[:, :, padding:full_h - padding, padding:full_w - padding]
 
     def backward(g):
-        if padding:
-            gf = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        else:
-            gf = g
-        gcols, gh, gw = _im2col(gf, kh, kw, stride)
+        gcols, gh, gw = _im2col(g, kh, kw, stride, padding)
         # gcols rows follow x's spatial order, columns follow (K, kh, kw)
         if k.requires_grad:
             _accumulate(k, (x2.T @ gcols).reshape(c, kk, kh, kw))

@@ -352,15 +352,19 @@ def _read_map_csv(path: Path) -> np.ndarray:
 
 def cmd_synth(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    if out.exists() and any(out.iterdir()):
-        if not args.force:
-            raise IntegrityError(
-                f"output directory {out} is not empty; pass --force to overwrite")
-        shutil.rmtree(out)
+    if not args.force and out.exists() and any(out.iterdir()):
+        raise IntegrityError(
+            f"output directory {out} is not empty; pass --force to overwrite")
     cfg = SynthConfig(n_train=args.normal, n_test_normal=args.defect,
                       n_test_defect=args.defect, patch_size=args.patch_size,
                       seed=args.seed).validate()
     with _RunDir(args) as run:
+        if args.force:  # only once the lock is ours, so a live run's files survive
+            for old in run.iterdir():
+                if old.is_dir() and not old.is_symlink():
+                    shutil.rmtree(old)
+                elif old.name not in (_LOCK_NAME, "effective-config.txt"):
+                    old.unlink()
         manifest = synth_corpus(cfg, run)
         print(f"wrote {len(manifest.entries)} corpus entries under {run}")
 

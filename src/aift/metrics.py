@@ -4,21 +4,29 @@ All threshold sweeps share one fixed grid, 0.01 to 0.99 in steps of 0.01.
 Predictions are float maps in [0, 1]; a pixel is positive at threshold t
 when its value is >= t.  Ground truth is boolean.
 
+Each image yields one count table, a row per threshold with the columns
+n_pred, n_gt, inter, matched_pred and matched_gt; every segmentation metric
+is read from it.  A column counts the values >= t in one pixel subset (all
+pixels, GT pixels, pixels near GT, and GT pixels under the disk-max of the
+prediction), for the whole grid at once by sorting the subset and searching
+it.  Pixels are near when their integer offset has sqrt(dy^2 + dx^2) <=
+``tolerance``, the test a Euclidean distance transform makes.
+
 * AIU: the interval-averaged intersection over union.
 * ODS / OIS: best F-measure at a single dataset-wide threshold versus the
-  mean of per-image best F-measures.  Matching tolerates small localization
-  error when ``tolerance`` > 0 (pixels match within that Euclidean
-  distance); the default is exact matching.
+  mean of per-image best F-measures.
 * AUROC: Mann-Whitney statistic computed from tie-averaged ranks.
+
+Sums over thresholds and images run in sequence, so results equal
+loop-based references bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
-from scipy.stats import rankdata
 
 from .errors import DimensionError, MetricError
 
@@ -41,99 +49,112 @@ def _as_gt(gt: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return gt.astype(bool)
 
 
+def _disk(tolerance: float, shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """Integer offsets (dy, dx) with sqrt(dy^2 + dx^2) <= tolerance that fit in ``shape``."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise MetricError(f"matching tolerance must be finite and >= 0, got {tolerance}")
+    ry = min(int(tolerance), shape[0] - 1)
+    rx = min(int(tolerance), shape[1] - 1)
+    dy, dx = np.mgrid[-ry:ry + 1, -rx:rx + 1]
+    keep = np.sqrt(dy * dy + dx * dx) <= tolerance
+    return list(zip(dy[keep].tolist(), dx[keep].tolist()))
+
+
+def _disk_max(values: np.ndarray, disk) -> np.ndarray:
+    """Each pixel's maximum over the in-bounds pixels at the ``disk`` offsets."""
+    h, w = values.shape
+    out = values.copy()
+    for dy, dx in disk:
+        dst = out[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
+        np.maximum(dst, values[max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)], out=dst)
+    return out
+
+
+def _count_table(pred: np.ndarray, gt: np.ndarray, tolerance: float,
+                 thresholds=THRESHOLDS) -> np.ndarray:
+    """[thresholds, 5] counts of one map: n_pred, n_gt, inter, matched_pred, matched_gt."""
+    disk = _disk(tolerance, pred.shape)
+    subsets = (pred, pred[gt], pred[_disk_max(gt, disk)], _disk_max(pred, disk)[gt])
+    n_pred, inter, matched_pred, matched_gt = (
+        v.size - np.searchsorted(np.sort(v, axis=None), thresholds, side="left")
+        for v in subsets)
+    n_gt = np.full_like(n_pred, np.count_nonzero(gt))
+    return np.stack([n_pred, n_gt, inter, matched_pred, matched_gt], axis=-1)
+
+
+def _tables(preds, gts, tolerance: float) -> np.ndarray:
+    """Count tables of every image; shape [n_images, n_thresholds, 5]."""
+    if len(preds) != len(gts):
+        raise DimensionError(f"{len(preds)} predictions vs {len(gts)} ground truths")
+    if not preds:
+        raise MetricError("no prediction maps to evaluate")
+    preds = [_as_pred(pred) for pred in preds]
+    return np.stack([_count_table(pred, _as_gt(gt, pred.shape), tolerance)
+                     for pred, gt in zip(preds, gts)])
+
+
+def _binary_row(pred_bin: np.ndarray, gt: np.ndarray, tolerance: float) -> np.ndarray:
+    """The count row of a boolean map, whose positives are its values >= 1."""
+    pred = _as_pred(np.asarray(pred_bin, dtype=bool))
+    return _count_table(pred, _as_gt(gt, pred.shape), tolerance, thresholds=1.0)
+
+
+def _iou(table: np.ndarray) -> np.ndarray:
+    """IoU of each count row; an empty union gives 1."""
+    n_pred, n_gt, inter = table[..., 0], table[..., 1], table[..., 2]
+    union = n_pred + n_gt - inter
+    return np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+
+
+def _prf(table: np.ndarray):
+    """Precision, recall and F of each count row.
+
+    An empty prediction has precision 1 only against empty ground truth,
+    and empty ground truth has recall 1 only for an empty prediction.
+    """
+    n_pred, n_gt, matched_pred, matched_gt = (table[..., k] for k in (0, 1, 3, 4))
+    precision = np.divide(matched_pred, n_pred, out=np.asarray(n_gt == 0, dtype=np.float64),
+                          where=n_pred > 0)
+    recall = np.divide(matched_gt, n_gt, out=np.asarray(n_pred == 0, dtype=np.float64),
+                       where=n_gt > 0)
+    denom = precision + recall
+    f = np.divide(2.0 * precision * recall, denom, out=np.zeros(denom.shape), where=denom > 0.0)
+    return precision, recall, f
+
+
+def _aiu(tables: np.ndarray) -> np.ndarray:
+    return np.cumsum(_iou(tables), axis=-1)[..., -1] / THRESHOLDS.size
+
+
+def _mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the first axis, accumulated image by image."""
+    return np.cumsum(values, axis=0)[-1] / values.shape[0]
+
+
+def _ods(f: np.ndarray) -> tuple[float, float]:
+    means = _mean(f)
+    j = int(np.argmax(means))
+    return float(THRESHOLDS[j]), float(means[j])
+
+
+def _ois(f: np.ndarray) -> float:
+    return float(_mean(f.max(axis=1)))
+
+
 def iou(pred_bin: np.ndarray, gt: np.ndarray) -> float:
     """Intersection over union of two boolean masks; two empty masks give 1."""
-    pred_bin = np.asarray(pred_bin, dtype=bool)
-    gt = _as_gt(gt, pred_bin.shape)
-    union = np.logical_or(pred_bin, gt).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(pred_bin, gt).sum() / union)
+    return float(_iou(_binary_row(pred_bin, gt, 0.0)))
 
 
 def aiu(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean IoU over the fixed threshold grid for one image."""
     pred = _as_pred(pred)
-    gt = _as_gt(gt, pred.shape)
-    total = 0.0
-    for t in THRESHOLDS:
-        total += iou(pred >= t, gt)
-    return total / THRESHOLDS.size
-
-
-def _match_counts(pred_bin: np.ndarray, gt: np.ndarray, tolerance: float):
-    """Counts for precision/recall under distance-``tolerance`` matching.
-
-    Returns (n_pred, n_gt, matched_pred, matched_gt): how many predicted
-    pixels fall within the tolerance of ground truth and vice versa.  With
-    tolerance 0 both matched counts equal the plain intersection.
-    """
-    n_pred = int(pred_bin.sum())
-    n_gt = int(gt.sum())
-    if n_pred == 0 or n_gt == 0:
-        return n_pred, n_gt, 0, 0
-    if tolerance <= 0:
-        inter = int(np.logical_and(pred_bin, gt).sum())
-        return n_pred, n_gt, inter, inter
-    near_gt = distance_transform_edt(~gt) <= tolerance
-    near_pred = distance_transform_edt(~pred_bin) <= tolerance
-    return (n_pred, n_gt,
-            int(np.logical_and(pred_bin, near_gt).sum()),
-            int(np.logical_and(gt, near_pred).sum()))
-
-
-def _precision_recall_f(n_pred, n_gt, matched_pred, matched_gt):
-    if n_pred == 0:
-        precision = 1.0 if n_gt == 0 else 0.0
-    else:
-        precision = matched_pred / n_pred
-    if n_gt == 0:
-        recall = 1.0 if n_pred == 0 else 0.0
-    else:
-        recall = matched_gt / n_gt
-    denom = precision + recall
-    f = 2.0 * precision * recall / denom if denom > 0.0 else 0.0
-    # plain floats so downstream repr() serialization stays clean
-    return float(precision), float(recall), float(f)
+    return float(_aiu(_count_table(pred, _as_gt(gt, pred.shape), 0.0)))
 
 
 def f_measure(pred_bin: np.ndarray, gt: np.ndarray, tolerance: float = 0.0) -> float:
     """F-measure of one binarized map against ground truth."""
-    pred_bin = np.asarray(pred_bin, dtype=bool)
-    gt = _as_gt(gt, pred_bin.shape)
-    return _precision_recall_f(*_match_counts(pred_bin, gt, tolerance))[2]
-
-
-def _f_table(preds, gts, tolerance: float):
-    """Per-image, per-threshold counts; shape [n_images, n_thresholds, 4]."""
-    if len(preds) != len(gts):
-        raise DimensionError(f"{len(preds)} predictions vs {len(gts)} ground truths")
-    if not preds:
-        raise MetricError("no prediction maps to evaluate")
-    table = np.zeros((len(preds), THRESHOLDS.size, 4))
-    for i, (pred, gt) in enumerate(zip(preds, gts)):
-        pred = _as_pred(pred)
-        gt = _as_gt(gt, pred.shape)
-        for j, t in enumerate(THRESHOLDS):
-            table[i, j] = _match_counts(pred >= t, gt, tolerance)
-    return table
-
-
-def _f_per_image(table: np.ndarray) -> np.ndarray:
-    out = np.zeros(table.shape[:2])
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            out[i, j] = _precision_recall_f(*table[i, j])[2]
-    return out
-
-
-def _mean_over_images(per_image: np.ndarray) -> np.ndarray:
-    # plain sequential accumulation so results match loop-based references bit
-    # for bit regardless of image count
-    means = np.zeros(per_image.shape[1])
-    for row in per_image:
-        means += row
-    return means / per_image.shape[0]
+    return float(_prf(_binary_row(pred_bin, gt, tolerance))[2])
 
 
 def ods(preds, gts, tolerance: float = 0.0) -> tuple[float, float]:
@@ -142,19 +163,12 @@ def ods(preds, gts, tolerance: float = 0.0) -> tuple[float, float]:
     The dataset score at a threshold is the mean of per-image F-measures;
     ties resolve to the lowest threshold.
     """
-    per_image = _f_per_image(_f_table(preds, gts, tolerance))
-    means = _mean_over_images(per_image)
-    j = int(np.argmax(means))
-    return float(THRESHOLDS[j]), float(means[j])
+    return _ods(_prf(_tables(preds, gts, tolerance))[2])
 
 
 def ois(preds, gts, tolerance: float = 0.0) -> float:
     """Mean over images of each image's best F-measure on the grid."""
-    per_image = _f_per_image(_f_table(preds, gts, tolerance))
-    total = 0.0
-    for row in per_image:
-        total += float(row.max())
-    return total / per_image.shape[0]
+    return _ois(_prf(_tables(preds, gts, tolerance))[2])
 
 
 def auroc(scores, labels) -> float:
@@ -170,7 +184,10 @@ def auroc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auroc needs both positive and negative samples")
-    ranks = rankdata(scores)
+    # tied scores share the mean of the 1-based ranks their group spans
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    ranks = 0.5 * (bounds[group + 1] + bounds[group] + 1)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -232,24 +249,14 @@ def evaluate(preds=None, gts=None, scores=None, labels=None,
     if preds is not None:
         if gts is None:
             raise MetricError("prediction maps need matching ground-truth masks")
-        table = _f_table(preds, gts, tolerance)
-        per_image = _f_per_image(table)
-        means = _mean_over_images(per_image)
-        j_best = int(np.argmax(means))
-        aiu_total = 0.0
-        for pred, gt in zip(preds, gts):
-            aiu_total += aiu(pred, gt)
-        aiu_value = aiu_total / per_image.shape[0]
-        ods_t = float(THRESHOLDS[j_best])
-        ods_f = float(means[j_best])
-        ois_total = 0.0
-        for row in per_image:
-            ois_total += float(row.max())
-        ois_value = ois_total / per_image.shape[0]
-        n_images = per_image.shape[0]
-        for j, t in enumerate(THRESHOLDS):
-            p, r, f = _precision_recall_f(*table[:, j, :].sum(axis=0))
-            curve.append(PRPoint(float(t), p, r, f))
+        tables = _tables(preds, gts, tolerance)
+        f = _prf(tables)[2]
+        aiu_value = float(_mean(_aiu(tables)))
+        ods_t, ods_f = _ods(f)
+        ois_value = _ois(f)
+        n_images = tables.shape[0]
+        points = np.stack([THRESHOLDS, *_prf(tables.sum(axis=0))], axis=1)
+        curve = [PRPoint(*point) for point in points.tolist()]
 
     area = None
     if scores is not None or labels is not None:

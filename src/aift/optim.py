@@ -69,26 +69,3 @@ class Adam:
             v += (1.0 - s.beta2) * (g * g)
             update = s.lr * (m / c1) / (np.sqrt(v / c2) + s.eps)
             p.data = p.data - update
-
-
-def adam_step(params, grads, state: AdamState):
-    """Functional single step on plain arrays; returns the updated arrays.
-
-    ``params`` and ``grads`` are equal-length sequences.  ``state`` is
-    mutated in place (moments and step counter).
-    """
-    state.step += 1
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    out = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.zeros_like(p) if g is None else np.asarray(g, dtype=np.float64)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        out.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    return out

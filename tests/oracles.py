@@ -194,6 +194,67 @@ def ois_brute(preds, gts):
     return total / len(preds)
 
 
+def match_counts_brute(pred_bin, gt, tol):
+    """(n_pred, n_gt, matched_pred, matched_gt) under distance-``tol`` matching.
+
+    A predicted pixel is matched when some GT pixel lies within Euclidean
+    distance ``tol`` of it, and a GT pixel when some predicted pixel does;
+    every pair of pixels is compared.
+    """
+    pred_pts = [tuple(p) for p in np.argwhere(pred_bin)]
+    gt_pts = [tuple(g) for g in np.argwhere(gt)]
+
+    def near(a, others):
+        return any(math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) <= tol for b in others)
+
+    matched_pred = sum(1 for p in pred_pts if near(p, gt_pts))
+    matched_gt = sum(1 for g in gt_pts if near(g, pred_pts))
+    return len(pred_pts), len(gt_pts), matched_pred, matched_gt
+
+
+def prf_brute(n_pred, n_gt, matched_pred, matched_gt):
+    """Precision, recall and F of match counts, with the empty-side conventions."""
+    if n_pred == 0:
+        precision = 1.0 if n_gt == 0 else 0.0
+    else:
+        precision = matched_pred / n_pred
+    if n_gt == 0:
+        recall = 1.0 if n_pred == 0 else 0.0
+    else:
+        recall = matched_gt / n_gt
+    f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f
+
+
+def f_tolerance_brute(pred_bin, gt, tol):
+    return prf_brute(*match_counts_brute(pred_bin, gt, tol))[2]
+
+
+def ods_tolerance_brute(preds, gts, tol):
+    best_t, best_f = None, -1.0
+    for t in _thresholds():
+        mean_f = sum(f_tolerance_brute(p >= t, g, tol) for p, g in zip(preds, gts)) / len(preds)
+        if mean_f > best_f:
+            best_t, best_f = t, mean_f
+    return best_t, best_f
+
+
+def ois_tolerance_brute(preds, gts, tol):
+    total = 0.0
+    for p, g in zip(preds, gts):
+        total += max(f_tolerance_brute(p >= t, g, tol) for t in _thresholds())
+    return total / len(preds)
+
+
+def curve_tolerance_brute(preds, gts, tol):
+    """(threshold, precision, recall, F) from match counts summed over images."""
+    curve = []
+    for t in _thresholds():
+        counts = [match_counts_brute(p >= t, g, tol) for p, g in zip(preds, gts)]
+        curve.append((t, *prf_brute(*(sum(column) for column in zip(*counts)))))
+    return curve
+
+
 # -- AUROC by pair counting --------------------------------------------------
 
 

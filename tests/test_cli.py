@@ -215,6 +215,17 @@ class TestSynth:
         for rel in rel_paths + ["manifest.csv"]:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
+    def test_force_leaves_a_locked_directory_alone(self, tmp_path):
+        out = tmp_path / "busy"
+        (out / "normal").mkdir(parents=True)
+        (out / ".aift-lock").write_text("12345\n")
+        (out / "normal" / "kept.pgm").write_text("x")
+        rc = main(["synth", "--normal", "1", "--defect", "1", "--patch-size", "8",
+                   "--force", "--out", str(out)])
+        assert rc == 4
+        assert (out / ".aift-lock").read_text() == "12345\n"
+        assert (out / "normal" / "kept.pgm").read_text() == "x"
+
 
 class TestTrain:
     def test_outputs_and_log_shape(self, corpus, tmp_path):

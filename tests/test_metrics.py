@@ -1,12 +1,21 @@
 """Metric implementations against exhaustive brute-force sweeps."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import aift
 from aift import THRESHOLDS, aiu, auroc, evaluate, f_measure, iou, ods, ois
 from aift.errors import DimensionError, MetricError
 
-from oracles import aiu_brute, auroc_pairs, f_brute, iou_brute, ods_brute, ois_brute
+from oracles import (aiu_brute, auroc_pairs, curve_tolerance_brute, f_brute,
+                     f_tolerance_brute, iou_brute, ods_brute, ods_tolerance_brute,
+                     ois_brute, ois_tolerance_brute)
 
 RNG = np.random.default_rng(314)
 
@@ -125,6 +134,44 @@ class TestFMeasures:
         with pytest.raises(DimensionError):
             ods([np.zeros((4, 4))], [])
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        gt = np.zeros((4, 4), dtype=bool)
+        gt[1, 1] = True
+        with pytest.raises(MetricError):
+            f_measure(gt, gt, tolerance=tol)
+        with pytest.raises(MetricError):
+            ods([gt.astype(float)], [gt], tolerance=tol)
+        with pytest.raises(MetricError):
+            evaluate([gt.astype(float)], [gt], tolerance=tol)
+
+
+TOLERANCES = [1.0, 1.5, math.sqrt(2), 2.0]
+
+
+class TestToleranceMatching:
+    """Distance-tolerance matching against pairwise-distance brute force."""
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_f_measure(self, tol):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            pred = rng.uniform(0, 1, (9, 9)) > 0.85
+            gt = rng.uniform(0, 1, (9, 9)) > (0.85 if seed else 1.0)
+            assert f_measure(pred, gt, tolerance=tol) == f_tolerance_brute(pred, gt, tol)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_ods_ois_and_curve(self, tol):
+        rng = np.random.default_rng(11)
+        preds = [np.round(rng.uniform(0, 1, (6, 7)), 1) for _ in range(3)]
+        gts = [rng.uniform(0, 1, (6, 7)) < 0.2 for _ in range(2)]
+        gts.append(np.zeros((6, 7), dtype=bool))  # one map without GT
+        assert ods(preds, gts, tolerance=tol) == ods_tolerance_brute(preds, gts, tol)
+        assert ois(preds, gts, tolerance=tol) == ois_tolerance_brute(preds, gts, tol)
+        curve = [(p.threshold, p.precision, p.recall, p.f)
+                 for p in evaluate(preds, gts, tolerance=tol).curve]
+        assert curve == curve_tolerance_brute(preds, gts, tol)
+
 
 class TestAuroc:
     def test_matches_pair_counting(self):
@@ -204,3 +251,12 @@ class TestEvaluate:
                     continue
                 for cell in line.split(","):
                     assert cell == "" or np.isfinite(float(cell))
+
+
+def test_import_loads_no_scipy():
+    code = ("import aift, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(aift.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "[]"

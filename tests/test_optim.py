@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from aift import Adam, Tensor, adam_step
+from aift import Adam, Tensor
 from aift.errors import ConfigurationError
-from aift.optim import AdamState
 
 from oracles import adam_scalar_reference
 
@@ -74,20 +73,6 @@ def test_descends_a_quadratic():
         p.grad = 2.0 * p.data
         opt.step()
     assert abs(p.data[0]) < 1e-2
-
-
-def test_functional_adam_step_matches_class():
-    grads = [np.array([0.5]), np.array([-0.25]), np.array([1.0])]
-    p_fn = np.array([0.0])
-    state = AdamState(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-    for g in grads:
-        (p_fn,) = adam_step([p_fn], [g], state)
-    p_cls = Tensor([0.0], requires_grad=True)
-    opt = Adam([p_cls], lr=0.01)
-    for g in grads:
-        p_cls.grad = g
-        opt.step()
-    np.testing.assert_allclose(p_fn, p_cls.data, rtol=1e-15)
 
 
 def test_rejects_bad_settings():
