@@ -7,9 +7,10 @@ keys are rejected.  The seed resolution order is flag, config file, the
 
 Every command writes an ``effective-config.txt`` echo (with a tool-version
 line) into its output directory and refuses to share that directory with a
-concurrently running command via a lock file.  All numerical outputs are
-deterministic for a fixed seed: floats are serialized with ``repr`` so
-reruns produce byte-identical CSVs.
+concurrently running command via a lock file holding its host and PID; a
+lock left by a killed run on the same host is taken over.  All numerical
+outputs are deterministic for a fixed seed: floats are serialized with
+``repr`` so reruns produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 integrity
 error, 1 any other failure.
@@ -18,8 +19,10 @@ error, 1 any other failure.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import shutil
+import socket
 import sys
 from pathlib import Path
 
@@ -237,22 +240,60 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 class _RunDir:
-    """Creates the output directory, takes its lock and writes the config echo."""
+    """Creates the output directory, takes its lock and writes the config echo.
+
+    The lock file holds the host name and PID of its run.  A lock from this
+    host whose PID names no live process is left by a killed run and is
+    taken over.  A lock from another host (a shared file system) counts as
+    held, since its PID cannot be probed from here, and so does a lock that
+    cannot be read (say, caught between its creation and its write).
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.path = Path(args.out)
         self.args = args
         self.lock = self.path / _LOCK_NAME
+        self.host = socket.gethostname()
+        self.text = f"{self.host} {os.getpid()}\n"
+
+    def _remove_stale_lock(self) -> bool:
+        """Delete the lock if its run is gone; False while it is held.
+
+        Takeovers hold an flock on the directory, so two runs that both find
+        the same dead lock cannot each delete it and then create their own:
+        the second one re-reads the lock under the flock and finds the
+        first one's live PID.
+        """
+        dir_fd = os.open(self.path, os.O_RDONLY)
+        try:
+            fcntl.flock(dir_fd, fcntl.LOCK_EX)
+            try:
+                host, pid = self.lock.read_text().split()
+                if host == self.host and int(pid) > 0:
+                    os.kill(int(pid), 0)
+            except FileNotFoundError:
+                return True  # released in the meantime
+            except ProcessLookupError:
+                self.lock.unlink(missing_ok=True)
+                return True
+            except (ValueError, OverflowError, OSError):
+                pass  # unreadable, or a live process this user may not signal
+            return False
+        finally:
+            os.close(dir_fd)  # releases the flock
 
     def __enter__(self) -> Path:
         self.path.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise IntegrityError(
-                f"output directory {self.path} is in use by another run "
-                f"(remove {_LOCK_NAME} if that run is gone)")
-        os.write(fd, f"{os.getpid()}\n".encode())
+        while True:
+            try:
+                fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if not self._remove_stale_lock():
+                    raise IntegrityError(
+                        f"output directory {self.path} is in use by another run "
+                        f"(remove {_LOCK_NAME} if that run is gone)")
+        os.write(fd, self.text.encode())
         os.close(fd)
         lines = [f"# aift {__version__}", f"command = {self.args.command}"]
         for key in sorted(vars(self.args)):
@@ -264,7 +305,12 @@ class _RunDir:
         return self.path
 
     def __exit__(self, *exc) -> None:
-        self.lock.unlink(missing_ok=True)
+        # a lock that no longer holds this run's text belongs to another run
+        try:
+            if self.lock.read_text() == self.text:
+                self.lock.unlink()
+        except FileNotFoundError:
+            pass
 
 
 # -- shared data plumbing ---------------------------------------------------------

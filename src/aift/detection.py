@@ -5,6 +5,12 @@ pixels the generator cannot reproduce (defects were never seen during
 training) disagree with the input.  The disagreement is measured per pixel
 with the symmetric Jeffrey divergence, giving a score map whose sum is the
 patch-level anomaly score.
+
+Score maps are not rescaled.  Both inputs are clamped to [JEFFREY_EPS, 1],
+so every per-pixel value lies in [0, ln 2] ~ [0, 0.693], and averaging
+overlapping patches keeps full-image maps in that range too.  The metric
+thresholds from 0.70 up (``metrics.THRESHOLDS``) therefore never fire on a
+score map.
 """
 
 from __future__ import annotations

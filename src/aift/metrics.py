@@ -30,6 +30,9 @@ import numpy as np
 
 from .errors import DimensionError, MetricError
 
+# Score maps from aift.detection lie in [0, ln 2] ~ [0, 0.693], so the 30
+# thresholds from 0.70 to 0.99 never fire on them.  They stay in the grid:
+# AIU averages over all 99, so dropping them would move every reported AIU.
 THRESHOLDS = np.arange(1, 100) / 100.0
 
 

@@ -97,6 +97,24 @@ def conv_transpose2d_loops(x, k, stride=1, padding=0):
     return full[:, :, padding:fh - padding, padding:fw - padding]
 
 
+def conv_transpose2d_tap_major(x, k, stride=1, padding=0):
+    """Transposed convolution as one GEMM with tap-major (kh, kw, K) columns,
+    added back tap by tap in row-major tap order; the vectorized engine sums
+    the same products in the same order, so it must match bit for bit."""
+    n, c, h, w = x.shape
+    _, kk, kh, kw = k.shape
+    x2 = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
+    kperm = np.ascontiguousarray(k.transpose(0, 2, 3, 1)).reshape(c, kh * kw * kk)
+    taps = (x2 @ kperm).reshape(n, h, w, kh, kw, kk)
+    fh = (h - 1) * stride + kh
+    fw = (w - 1) * stride + kw
+    full = np.zeros((n, fh, fw, kk))
+    for u in range(kh):
+        for v in range(kw):
+            full[:, u:u + h * stride:stride, v:v + w * stride:stride] += taps[:, :, :, u, v]
+    return full[:, padding:fh - padding, padding:fw - padding].transpose(0, 3, 1, 2)
+
+
 # -- DFT by quadruple loop ---------------------------------------------------
 
 
@@ -111,6 +129,19 @@ def dft2_loops(image):
                     acc += image[y, x] * cmath.exp(-2j * cmath.pi * (a * y / h + b * x / w))
             out[a, b] = acc
     return out
+
+
+def fft_pow2_recursive(x):
+    """Textbook even/odd radix-2 recursion along the last axis (length a
+    power of two); the loop FFT in the package must match it bit for bit."""
+    n = x.shape[-1]
+    if n == 1:
+        return x.astype(np.complex128)
+    even = fft_pow2_recursive(x[..., 0::2])
+    odd = fft_pow2_recursive(x[..., 1::2])
+    twiddle = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    t = twiddle * odd
+    return np.concatenate([even + t, even - t], axis=-1)
 
 
 # -- Adam scalar recurrence ---------------------------------------------------

@@ -239,6 +239,7 @@ class TestCriterion5:
             assert abs(aiu(np.full((8, 8), 0.5), half) - 25.0 / 99.0) <= 1e-12
 
 
+@pytest.mark.slow
 class TestCriterion6:
     def test_ablation_direction(self, criterion, ablation_results):
         with criterion(6, "adversarial mode lifts synthetic-corpus AUROC"):
@@ -251,6 +252,7 @@ class TestCriterion6:
             assert all(s > 0 for s in ablation_results["separations"])
 
 
+@pytest.mark.slow
 class TestCriterion7:
     def test_training_sanity(self, criterion, ablation_results):
         with criterion(7, "seeded training converges with finite logs"):

@@ -7,7 +7,8 @@ import aift.autodiff as ad
 from aift.autodiff import Tensor, no_grad
 from aift.errors import ContractError, DimensionError, DomainError
 
-from oracles import check_gradients, conv2d_loops, conv_transpose2d_loops
+from oracles import (check_gradients, conv2d_loops, conv_transpose2d_loops,
+                     conv_transpose2d_tap_major)
 
 RNG = np.random.default_rng(20240811)
 
@@ -60,6 +61,13 @@ class TestForwardValues:
 
 
 class TestBackwardBasics:
+    def test_misshaped_gradient_is_a_contract_error(self):
+        # a backward closure handing back the wrong shape must not go unseen
+        x = _t(3, 3)
+        y = ad._record(x.data.copy(), (x,), lambda g: ad._accumulate(x, g[:2, :2]))
+        with pytest.raises(ContractError):
+            ad.tsum(y).backward()
+
     def test_grad_accumulates_over_reuse(self):
         # d/dx of x*x at 3 is 6: the same leaf feeds mul twice
         x = Tensor([3.0], requires_grad=True)
@@ -139,10 +147,16 @@ class TestGradChecks:
         b = _t(3)
         check_gradients(lambda: ad.mean(ad.add_channel_bias(x, b)), [x, b])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0), (3, 2)])
-    def test_conv2d_gradients(self, stride, padding):
-        x = _t(2, 2, 6, 6)
-        k = _t(3, 2, 3, 3)
+    # 9x9 with a 4x4 kernel at stride 2 leaves a last row and column that no
+    # window reads; their gradient is zero but must still be there
+    @pytest.mark.parametrize("stride,padding,size,ksize",
+                             [(1, 0, 6, 3), (1, 1, 6, 3), (2, 1, 6, 3), (2, 0, 6, 3),
+                              (3, 2, 6, 3), (2, 0, 9, 4), (1, 0, 4, 4)],
+                             ids=["1-0", "1-1", "2-1", "2-0", "3-2", "2-0-9x9-k4",
+                                  "1-0-4x4-k4"])
+    def test_conv2d_gradients(self, stride, padding, size, ksize):
+        x = _t(2, 2, size, size)
+        k = _t(3, 2, ksize, ksize)
         check_gradients(lambda: ad.mean(ad.conv2d(x, k, stride, padding)), [x, k])
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (3, 1)])
@@ -176,14 +190,46 @@ class TestConvolutionValues:
         slow = conv2d_loops(x, k, stride, padding)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0)])
-    def test_conv_transpose2d_matches_loops(self, stride, padding):
+    # kernels that are not a multiple of the stride: 3x3 at 2, 4x4 at 3
+    @pytest.mark.parametrize("stride,padding,ksize",
+                             [(1, 0, 4), (2, 1, 4), (2, 0, 4), (2, 0, 3), (3, 1, 4)],
+                             ids=["1-0", "2-1", "2-0", "2-0-k3", "3-1-k4"])
+    def test_conv_transpose2d_matches_loops(self, stride, padding, ksize):
         rng = np.random.default_rng(2000 + stride * 10 + padding)
         x = rng.standard_normal((2, 3, 4, 5))
-        k = rng.standard_normal((3, 2, 4, 4))
+        k = rng.standard_normal((3, 2, ksize, ksize))
         fast = ad.conv_transpose2d(Tensor(x), Tensor(k), stride, padding).data
         slow = conv_transpose2d_loops(x, k, stride, padding)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+    # the last case has fewer GEMM rows (pixels) than input channels, as in
+    # the first decoder layer at batch 1
+    @pytest.mark.parametrize("shape,ksize,stride,padding",
+                             [((2, 3, 4, 5), 4, 2, 1), ((2, 3, 4, 5), 3, 2, 0),
+                              ((2, 3, 4, 5), 4, 3, 1), ((1, 8, 1, 2), 4, 2, 1)],
+                             ids=["k4-s2", "k3-s2", "k4-s3", "1x2-c8"])
+    def test_conv_transpose2d_bit_for_bit(self, shape, ksize, stride, padding):
+        rng = np.random.default_rng(2100 + ksize * 10 + stride)
+        x = rng.standard_normal(shape)
+        k = rng.standard_normal((shape[1], 3, ksize, ksize))
+        fast = ad.conv_transpose2d(Tensor(x), Tensor(k), stride, padding).data
+        assert np.array_equal(fast, conv_transpose2d_tap_major(x, k, stride, padding))
+
+    # the last case has fewer GEMM rows (output pixels) than kernels
+    @pytest.mark.parametrize("batch,size,kernels,stride,padding",
+                             [(2, 8, 5, 2, 1), (2, 8, 5, 1, 0), (1, 4, 40, 2, 1)],
+                             ids=["2-1", "1-0", "few-rows"])
+    def test_conv2d_input_gradient_bit_for_bit(self, batch, size, kernels, stride, padding):
+        # the input gradient is the transposed convolution of the output
+        # gradient with the same kernel; every case has size - 4 + 2 * padding
+        # divisible by the stride, so every input row is read by some window
+        rng = np.random.default_rng(2200 + kernels + stride)
+        x = Tensor(rng.standard_normal((batch, 3, size, size)), requires_grad=True)
+        k = rng.standard_normal((kernels, 3, 4, 4))
+        y = ad.conv2d(x, Tensor(k), stride, padding)
+        g = rng.standard_normal(y.shape)
+        ad.tsum(ad.mul(y, Tensor(g))).backward()
+        assert np.array_equal(x.grad, conv_transpose2d_tap_major(g, k, stride, padding))
 
     def test_output_shape_formulas(self):
         x = Tensor(np.zeros((1, 1, 32, 32)))

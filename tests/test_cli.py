@@ -1,10 +1,19 @@
 """End-to-end command-line behavior: flags, config files, outputs, exit codes."""
 
+import argparse
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from aift import __version__
-from aift.cli import main
+from aift.cli import _RunDir, main
+from aift.errors import IntegrityError
 from aift.data import DatasetManifest, read_pgm, write_pgm, normalize_patch
 from aift.model import init_params, save_checkpoint
 from aift.spectral import spectrum_image
@@ -175,15 +184,95 @@ class TestRunDirProtocol:
     def test_lock_released_after_run(self, corpus):
         assert not (corpus / ".aift-lock").exists()
 
-    def test_held_lock_fails_with_integrity_code(self, tmp_path):
+    @staticmethod
+    def _lock_text(pid, host=None):
+        return f"{host or socket.gethostname()} {pid}\n"
+
+    @staticmethod
+    def _dead_pid():
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so its PID names no process
+        return child.pid
+
+    def _eval_into(self, tmp_path, lock_text):
         out = tmp_path / "busy"
         out.mkdir()
-        (out / ".aift-lock").write_text("12345\n")
+        (out / ".aift-lock").write_text(lock_text)
         scores = tmp_path / "scores.csv"
         scores.write_text("path,label,image_score\na,defect,0.9\nb,normal,0.1\n")
-        rc = main(["eval", "--scores", str(scores), "--out", str(out)])
+        return main(["eval", "--scores", str(scores), "--out", str(out)]), out
+
+    def test_held_lock_fails_with_integrity_code(self, tmp_path):
+        # the lock names this very process, which is certainly alive
+        text = self._lock_text(os.getpid())
+        rc, out = self._eval_into(tmp_path, text)
         assert rc == 4
-        assert (out / ".aift-lock").exists()
+        assert (out / ".aift-lock").read_text() == text
+
+    @pytest.mark.parametrize("text", ["", "not-a-pid\n", "0\n", "-1\n", "12345\n",
+                                      f"{socket.gethostname()} 0\n",
+                                      f"{socket.gethostname()} x\n"])
+    def test_unreadable_lock_counts_as_held(self, tmp_path, text):
+        rc, out = self._eval_into(tmp_path, text)
+        assert rc == 4
+        assert (out / ".aift-lock").read_text() == text
+
+    def test_lock_of_a_dead_run_is_taken_over(self, tmp_path):
+        rc, out = self._eval_into(tmp_path, self._lock_text(self._dead_pid()))
+        assert rc == 0
+        assert (out / "report.csv").is_file()
+        assert not (out / ".aift-lock").exists()
+
+    def test_lock_from_another_host_counts_as_held(self, tmp_path):
+        # its PID may be dead here and alive on the host that wrote it
+        text = self._lock_text(self._dead_pid(), host=f"not-{socket.gethostname()}")
+        rc, out = self._eval_into(tmp_path, text)
+        assert rc == 4
+        assert (out / ".aift-lock").read_text() == text
+
+    def test_exit_leaves_another_runs_lock(self, tmp_path):
+        out = tmp_path / "shared"
+        with _RunDir(argparse.Namespace(out=str(out), command="eval")):
+            (out / ".aift-lock").write_text(self._lock_text(os.getpid(), host="other"))
+        assert (out / ".aift-lock").read_text() == self._lock_text(os.getpid(), host="other")
+
+    def test_concurrent_takeovers_leave_one_holder(self, tmp_path, monkeypatch):
+        # every thread finds the same dead lock; the liveness probe is slowed
+        # so that all of them are inside the takeover at the same time
+        out = tmp_path / "contested"
+        out.mkdir()
+        (out / ".aift-lock").write_text(self._lock_text(self._dead_pid()))
+        real_kill = os.kill
+
+        def slow_kill(pid, sig):
+            time.sleep(0.05)
+            return real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", slow_kill)
+        workers = 6
+        start = threading.Barrier(workers)
+        losers_done = threading.Event()
+        wins, losses = [], []
+
+        def contend():
+            start.wait(timeout=10)
+            try:
+                with _RunDir(argparse.Namespace(out=str(out), command="eval")):
+                    wins.append(1)
+                    losers_done.wait(timeout=10)
+            except IntegrityError:
+                losses.append(1)
+                if len(losses) == workers - 1:
+                    losers_done.set()
+
+        threads = [threading.Thread(target=contend) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert (len(wins), len(losses)) == (1, workers - 1)
+        assert not (out / ".aift-lock").exists()
 
 
 class TestSynth:
@@ -218,12 +307,13 @@ class TestSynth:
     def test_force_leaves_a_locked_directory_alone(self, tmp_path):
         out = tmp_path / "busy"
         (out / "normal").mkdir(parents=True)
-        (out / ".aift-lock").write_text("12345\n")
+        text = f"{socket.gethostname()} {os.getpid()}\n"
+        (out / ".aift-lock").write_text(text)
         (out / "normal" / "kept.pgm").write_text("x")
         rc = main(["synth", "--normal", "1", "--defect", "1", "--patch-size", "8",
                    "--force", "--out", str(out)])
         assert rc == 4
-        assert (out / ".aift-lock").read_text() == "12345\n"
+        assert (out / ".aift-lock").read_text() == text
         assert (out / "normal" / "kept.pgm").read_text() == "x"
 
 

@@ -6,7 +6,7 @@ import pytest
 from aift import center_shift, conjugate_symmetry_error, dft2, idft2, spectrum_image
 from aift.errors import DimensionError, DomainError
 
-from oracles import dft2_loops
+from oracles import dft2_loops, fft_pow2_recursive
 
 RNG = np.random.default_rng(77)
 
@@ -26,6 +26,26 @@ class TestDftRoutes:
         from aift.spectral import _dft_matrix
         direct = _dft_matrix(16) @ img.astype(complex) @ _dft_matrix(16).T
         np.testing.assert_allclose(dft2(img), direct, atol=1e-9)
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 2), (4, 4), (16, 16), (32, 32),
+                                     (64, 64), (8, 32)])
+    def test_fast_route_equals_recursion_bit_for_bit(self, h, w):
+        img = RNG.uniform(0, 1, (h, w))
+        rows = fft_pow2_recursive(img.astype(complex))
+        assert np.array_equal(dft2(img), fft_pow2_recursive(rows.T).T)
+
+    def test_fast_route_on_a_batch_axis_equals_recursion(self):
+        from aift.spectral import _fft_pow2
+        stack = RNG.standard_normal((5, 3, 32)) + 1j * RNG.standard_normal((5, 3, 32))
+        assert np.array_equal(_fft_pow2(stack), fft_pow2_recursive(stack))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_input_is_not_modified(self, dtype):
+        img = RNG.uniform(0, 1, (16, 16)).astype(dtype)
+        before = img.copy()
+        dft2(img)
+        dft2(img.T)
+        assert np.array_equal(img, before)
 
     def test_impulse_has_flat_spectrum(self):
         img = np.zeros((8, 8))
