@@ -2,7 +2,7 @@
 
 Run:  python3 demos/03_train_and_detect.py [--out demo-out] [--epochs 8]
 
-Desk-scale settings throughout; expect a couple of minutes on one core.
+Desk-scale settings throughout; it takes about 10 s on a 2-core machine.
 """
 
 import argparse

@@ -42,10 +42,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A float64 array with an optional gradient and graph bookkeeping."""
 
@@ -76,11 +72,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def assert_finite(self, name: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise ContractError(f"non-finite value in {name}")
-        return self
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -291,11 +282,13 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.data > 0.0
-    out = np.where(mask, a.data, slope * a.data)
+    """max(x, slope * x), which equals where(x > 0, x, slope * x) bit for bit
+    for a slope in (0, 1] (and for a slope of 0 on finite x); the mask is
+    built only when a gradient is asked for."""
+    out = np.maximum(a.data, slope * a.data)
 
     def backward(g):
-        _accumulate(a, np.where(mask, g, slope * g))
+        _accumulate(a, np.where(a.data > 0.0, g, slope * g))
 
     return _record(out, (a,), backward)
 

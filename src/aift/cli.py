@@ -7,10 +7,10 @@ keys are rejected.  The seed resolution order is flag, config file, the
 
 Every command writes an ``effective-config.txt`` echo (with a tool-version
 line) into its output directory and refuses to share that directory with a
-concurrently running command via a lock file holding its host and PID; a
-lock left by a killed run on the same host is taken over.  All numerical
-outputs are deterministic for a fixed seed: floats are serialized with
-``repr`` so reruns produce byte-identical CSVs.
+concurrently running command by holding an ``flock`` on its ``.aift-lock``
+file; the kernel releases it when the run ends, however it ends.  All
+numerical outputs are deterministic for a fixed seed: floats are serialized
+with ``repr`` so reruns produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 integrity
 error, 1 any other failure.
@@ -22,7 +22,6 @@ import argparse
 import fcntl
 import os
 import shutil
-import socket
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from . import __version__
 from .autodiff import Tensor, no_grad
 from .data import (DatasetManifest, SynthConfig, extract_patches, load_image,
                    normalize_patch, read_pgm, synth_corpus, write_pgm)
-from .detection import DETECT_MODES, detect, detect_full_image
+from .detection import DETECT_MODES, detect_full_image
 from .errors import (AiftError, ConfigurationError, InputError, IntegrityError)
 from .metrics import evaluate
 from .model import (F2I, I2F, PATCH_SIZES, generate, load_checkpoint,
@@ -133,7 +132,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     s.add_argument("--data", help="corpus directory (scores its test split)")
     s.add_argument("--image", help="single image file")
     s.add_argument("--mode", choices=DETECT_MODES, default="fourier")
-    s.add_argument("--threshold", type=float, default=0.0)
     s.add_argument("--stride", type=int, default=0,
                    help="patch stride for images larger than the patch size (0: patch size)")
     _add_common(s)
@@ -154,7 +152,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     s.add_argument("--loss-modes", default=",".join(LOSS_MODES),
                    help="comma-separated subset of re,gan,total")
     _add_train_knobs(s)
-    s.add_argument("--threshold", type=float, default=0.0)
     _add_common(s)
 
     return parser, subs
@@ -242,75 +239,42 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 class _RunDir:
     """Creates the output directory, takes its lock and writes the config echo.
 
-    The lock file holds the host name and PID of its run.  A lock from this
-    host whose PID names no live process is left by a killed run and is
-    taken over.  A lock from another host (a shared file system) counts as
-    held, since its PID cannot be probed from here, and so does a lock that
-    cannot be read (say, caught between its creation and its write).
+    The lock is an ``flock`` on the ``.aift-lock`` file, held for the whole
+    run and released when its descriptor is closed, by ``__exit__`` or by
+    the kernel when the process dies.  The file stays empty and is never
+    deleted: a left-over file is not a lock, and deleting it would let a
+    run still waiting on the old inode lock it while a new run locks a
+    fresh one.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.path = Path(args.out)
         self.args = args
-        self.lock = self.path / _LOCK_NAME
-        self.host = socket.gethostname()
-        self.text = f"{self.host} {os.getpid()}\n"
-
-    def _remove_stale_lock(self) -> bool:
-        """Delete the lock if its run is gone; False while it is held.
-
-        Takeovers hold an flock on the directory, so two runs that both find
-        the same dead lock cannot each delete it and then create their own:
-        the second one re-reads the lock under the flock and finds the
-        first one's live PID.
-        """
-        dir_fd = os.open(self.path, os.O_RDONLY)
-        try:
-            fcntl.flock(dir_fd, fcntl.LOCK_EX)
-            try:
-                host, pid = self.lock.read_text().split()
-                if host == self.host and int(pid) > 0:
-                    os.kill(int(pid), 0)
-            except FileNotFoundError:
-                return True  # released in the meantime
-            except ProcessLookupError:
-                self.lock.unlink(missing_ok=True)
-                return True
-            except (ValueError, OverflowError, OSError):
-                pass  # unreadable, or a live process this user may not signal
-            return False
-        finally:
-            os.close(dir_fd)  # releases the flock
 
     def __enter__(self) -> Path:
-        self.path.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if not self._remove_stale_lock():
-                    raise IntegrityError(
-                        f"output directory {self.path} is in use by another run "
-                        f"(remove {_LOCK_NAME} if that run is gone)")
-        os.write(fd, self.text.encode())
-        os.close(fd)
         lines = [f"# aift {__version__}", f"command = {self.args.command}"]
         for key in sorted(vars(self.args)):
             if key in ("command", "config"):
                 continue
             shown = _DEST_TO_KEY.get(key, key).replace("_", "-")
             lines.append(f"{shown} = {getattr(self.args, key)}")
-        (self.path / "effective-config.txt").write_text("\n".join(lines) + "\n")
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.fd = os.open(self.path / _LOCK_NAME, os.O_RDWR | os.O_CREAT)
+        try:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
+            raise IntegrityError(
+                f"output directory {self.path} is in use by another run") from None
+        try:
+            (self.path / "effective-config.txt").write_text("\n".join(lines) + "\n")
+        except BaseException:
+            os.close(self.fd)  # __exit__ does not run when __enter__ raises
+            raise
         return self.path
 
     def __exit__(self, *exc) -> None:
-        # a lock that no longer holds this run's text belongs to another run
-        try:
-            if self.lock.read_text() == self.text:
-                self.lock.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(self.fd)  # releases the flock
 
 
 # -- shared data plumbing ---------------------------------------------------------
@@ -356,20 +320,6 @@ def _train_config(args: argparse.Namespace, loss_mode: str, seed: int) -> TrainC
         beta2=args.beta2, loss_mode=loss_mode, seed=seed,
         base_channels=args.base_channels,
     ).validate()
-
-
-def _detect_one(params, image: np.ndarray, threshold: float, mode: str, stride: int):
-    if image.shape == (params.patch_size, params.patch_size):
-        return detect(params, normalize_patch(image), threshold=threshold, mode=mode)
-    return detect_full_image(params, image, stride=stride, threshold=threshold, mode=mode)
-
-
-def _detect_entries(params, manifest: DatasetManifest, entries, threshold: float,
-                    mode: str, stride: int):
-    """Score manifest entries; yields (entry, DetectionResult)."""
-    for entry in entries:
-        image = load_image(manifest.image_path(entry))
-        yield entry, _detect_one(params, image, threshold, mode, stride)
 
 
 def _map_stem(used: set[str], rel_path: str) -> str:
@@ -463,35 +413,32 @@ def cmd_detect(args: argparse.Namespace) -> None:
     if bool(args.data) == bool(args.image):
         raise ConfigurationError("pass exactly one of --data or --image")
     params = load_checkpoint(args.ckpt)
-    stride = args.stride if args.stride > 0 else params.patch_size
+    if not 0 <= args.stride <= params.patch_size:
+        raise ConfigurationError(
+            f"stride must lie in [0, {params.patch_size}] (0: the patch size), "
+            f"got {args.stride}")
+    if args.data:
+        manifest = DatasetManifest.load(args.data)
+        entries = manifest.test_entries()
+        if not entries:
+            raise InputError(f"manifest under {manifest.root} has no test entries")
+        sources = [(e.path, e.label, manifest.image_path(e)) for e in entries]
+    else:
+        sources = [(Path(args.image).name, "", args.image)]
 
     with _RunDir(args) as run:
         maps_dir = run / "maps"
         maps_dir.mkdir(exist_ok=True)
         rows = ["path,label,image_score"]
         used: set[str] = set()
-        if args.data:
-            manifest = DatasetManifest.load(args.data)
-            entries = manifest.test_entries()
-            if not entries:
-                raise InputError(f"manifest under {manifest.root} has no test entries")
-            results = _detect_entries(params, manifest, entries, args.threshold,
-                                      args.mode, stride)
-            for entry, result in results:
-                stem = _map_stem(used, entry.path)
-                _write_map_csv(maps_dir / f"{stem}.csv", result.score_map)
-                write_pgm(maps_dir / f"{stem}.pgm",
-                          normalize_patch(result.score_map), maxval=65535)
-                rows.append(f"{entry.path},{entry.label},{_ft(result.image_score)}")
-        else:
-            path = Path(args.image)
-            result = _detect_one(params, load_image(path), args.threshold,
-                                 args.mode, stride)
-            stem = _map_stem(used, path.name)
+        for name, label, path in sources:
+            result = detect_full_image(params, load_image(path),
+                                       stride=args.stride or None, mode=args.mode)
+            stem = _map_stem(used, name)
             _write_map_csv(maps_dir / f"{stem}.csv", result.score_map)
             write_pgm(maps_dir / f"{stem}.pgm",
                       normalize_patch(result.score_map), maxval=65535)
-            rows.append(f"{path.name},,{_ft(result.image_score)}")
+            rows.append(f"{name},{label},{_ft(result.image_score)}")
         (run / "scores.csv").write_text("\n".join(rows) + "\n")
         print(f"scored {len(rows) - 1} image(s) -> {run / 'scores.csv'}")
 
@@ -571,7 +518,7 @@ def cmd_ablation(args: argparse.Namespace) -> None:
             f"--loss-modes must be a subset of {','.join(LOSS_MODES)}, got {args.loss_modes!r}")
 
     manifest = DatasetManifest.load(args.data)
-    images, freqs, patch = _load_training_arrays(manifest, args.patch_size)
+    images, freqs, _ = _load_training_arrays(manifest, args.patch_size)
     entries = manifest.test_entries()
     if not entries:
         raise InputError(f"manifest under {manifest.root} has no test entries")
@@ -584,8 +531,9 @@ def cmd_ablation(args: argparse.Namespace) -> None:
                 cfg = _train_config(args, mode, seed)
                 params, _ = train((images, freqs), cfg)
                 scores, labels, seg_maps, seg_gts = [], [], [], []
-                for entry, result in _detect_entries(params, manifest, entries,
-                                                     args.threshold, "fourier", patch):
+                for entry in entries:
+                    image = load_image(manifest.image_path(entry))
+                    result = detect_full_image(params, image, mode="fourier")
                     scores.append(result.image_score)
                     labels.append(entry.label == "defect")
                     mask_path = manifest.mask_path(entry)

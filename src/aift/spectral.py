@@ -1,15 +1,13 @@
 """2-D discrete Fourier transform and the frequency-domain image encoding.
 
-Two independent evaluation routes are kept on purpose: a radix-2
-Cooley-Tukey fast path for power-of-two extents and a dense DFT-matrix
-product for everything else.  They must agree to near machine precision,
-which the test suite checks; neither route delegates to numpy's FFT.
+Every model patch is a power of two on each side (``model.PATCH_SIZES``),
+so ``dft2`` is a radix-2 Cooley-Tukey FFT and nothing else; other extents
+raise ``DimensionError``.  It does not delegate to numpy's FFT.
 
-The radix-2 path is a loop, not a recursion: one bit-reversal gather, then
-log2(n) in-place butterfly stages with twiddles cached per length.  It does
-the same floating-point operations in the same order as the textbook
-even/odd recursion, and the test suite pins it to that recursion bit for
-bit.
+The FFT is a loop, not a recursion: one bit-reversal gather, then log2(n)
+in-place butterfly stages with twiddles cached per length.  It does the
+same floating-point operations in the same order as the textbook even/odd
+recursion, and the test suite pins it to that recursion bit for bit.
 """
 
 from __future__ import annotations
@@ -67,47 +65,19 @@ def _fft_pow2(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / n)
-
-
-def _validate_2d(a: np.ndarray, op: str) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise DimensionError(f"{op} expects a 2-D array, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionError(f"{op}: empty axis in shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{op}: input contains non-finite values")
-    return a
-
-
 def dft2(image: np.ndarray) -> np.ndarray:
     """2-D DFT of a real or complex [H, W] array, returned as complex128.
 
-    Power-of-two extents take the radix-2 path; other sizes fall back to
-    explicit DFT-matrix multiplication.  The input is never modified.
+    Both extents must be powers of two.  The input is never modified.
     """
-    image = _validate_2d(image, "dft2")
-    h, w = image.shape
-    if _is_pow2(h) and _is_pow2(w):
-        return _fft_pow2(_fft_pow2(image).T).T
-    fh = _dft_matrix(h)
-    fw = _dft_matrix(w)
-    return fh @ np.asarray(image, dtype=np.complex128) @ fw.T
-
-
-def idft2(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse 2-D DFT; returns the real part as float64.
-
-    Uses the conjugation identity idft(X) = conj(dft(conj(X))) / (H * W), so
-    both forward routes are reused unchanged.
-    """
-    spectrum = _validate_2d(spectrum, "idft2")
-    h, w = spectrum.shape
-    back = np.conj(dft2(np.conj(spectrum)))
-    return np.ascontiguousarray((back / (h * w)).real)
+    image = np.asarray(image)
+    if image.ndim != 2:
+        raise DimensionError(f"dft2 expects a 2-D array, got shape {image.shape}")
+    if not (_is_pow2(image.shape[0]) and _is_pow2(image.shape[1])):
+        raise DimensionError(f"dft2 needs power-of-two extents, got shape {image.shape}")
+    if not np.all(np.isfinite(image)):
+        raise DomainError("dft2: input contains non-finite values")
+    return _fft_pow2(_fft_pow2(image).T).T
 
 
 def center_shift(a: np.ndarray) -> np.ndarray:
@@ -139,13 +109,3 @@ def spectrum_image(image: np.ndarray) -> np.ndarray:
     flat = np.zeros_like(shifted)
     flat[image.shape[0] // 2, image.shape[1] // 2] = 1.0
     return flat
-
-
-def conjugate_symmetry_error(spectrum_img: np.ndarray) -> float:
-    """Largest deviation of a real image's frequency encoding from the
-    M[a, b] == M[-a mod H, -b mod W] symmetry (measured before centering)."""
-    spectrum_img = _validate_2d(spectrum_img, "conjugate_symmetry_error")
-    h, w = spectrum_img.shape
-    unshifted = np.roll(spectrum_img, (-(h // 2), -(w // 2)), axis=(0, 1))
-    mirrored = unshifted[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
-    return float(np.max(np.abs(unshifted - mirrored)))

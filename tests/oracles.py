@@ -144,6 +144,21 @@ def fft_pow2_recursive(x):
     return np.concatenate([even + t, even - t], axis=-1)
 
 
+def idft2(spectrum):
+    """Inverse 2-D DFT by the quadruple loop (through the conjugation
+    identity idft(X) = conj(dft(conj(X))) / (H * W)); returns the real part."""
+    return (np.conj(dft2_loops(np.conj(spectrum))) / spectrum.size).real
+
+
+def conjugate_symmetry_error(spectrum_img):
+    """Largest deviation of a real image's frequency encoding from the
+    M[a, b] == M[-a mod H, -b mod W] symmetry (measured before centering)."""
+    h, w = spectrum_img.shape
+    unshifted = np.roll(spectrum_img, (-(h // 2), -(w // 2)), axis=(0, 1))
+    mirrored = unshifted[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
+    return float(np.max(np.abs(unshifted - mirrored)))
+
+
 # -- Adam scalar recurrence ---------------------------------------------------
 
 

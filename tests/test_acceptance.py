@@ -26,7 +26,6 @@ from aift import (
     dense,
     detect,
     dft2,
-    idft2,
     init_params,
     jeffrey_divergence,
     load_checkpoint,
@@ -43,23 +42,37 @@ from aift import (
 )
 from aift.cli import main
 
-from oracles import aiu_brute, check_gradients, dft2_loops, ods_brute, ois_brute
+from oracles import (aiu_brute, check_gradients, dft2_loops, idft2, ods_brute,
+                     ois_brute)
 
 
 @pytest.fixture
 def criterion(capsys):
     @contextmanager
-    def _criterion(number, name):
+    def _criterion(number, name, detail=""):
+        suffix = f" [{detail}]" if detail else ""
         try:
             yield
         except BaseException:
             with capsys.disabled():
-                print(f"criterion {number} ({name}): FAIL", flush=True)
+                print(f"criterion {number} ({name}): FAIL{suffix}", flush=True)
             raise
         with capsys.disabled():
-            print(f"criterion {number} ({name}): PASS", flush=True)
+            print(f"criterion {number} ({name}): PASS{suffix}", flush=True)
 
     return _criterion
+
+
+def ablation_detail(results):
+    """Per-seed AUROCs and separations, per-mode means and elapsed time."""
+    def row(values, fmt):
+        return "/".join(format(v, fmt) for v in values)
+
+    parts = [f"{mode} AUROC {row(results['auroc'][mode], '.3f')} "
+             f"mean {np.mean(results['auroc'][mode]):.3f}" for mode in ("total", "re")]
+    parts.append(f"total separation {row(results['separations'], '.2f')}")
+    parts.append(f"{results['elapsed']:.0f} s")
+    return "; ".join(parts)
 
 
 @pytest.fixture(scope="session")
@@ -242,7 +255,8 @@ class TestCriterion5:
 @pytest.mark.slow
 class TestCriterion6:
     def test_ablation_direction(self, criterion, ablation_results):
-        with criterion(6, "adversarial mode lifts synthetic-corpus AUROC"):
+        with criterion(6, "adversarial mode lifts synthetic-corpus AUROC",
+                       ablation_detail(ablation_results)):
             mean_total = float(np.mean(ablation_results["auroc"]["total"]))
             mean_re = float(np.mean(ablation_results["auroc"]["re"]))
             assert mean_total >= 0.70
@@ -255,7 +269,10 @@ class TestCriterion6:
 @pytest.mark.slow
 class TestCriterion7:
     def test_training_sanity(self, criterion, ablation_results):
-        with criterion(7, "seeded training converges with finite logs"):
+        records = ablation_results["logs"][("total", 0)].records
+        detail = (f"total seed 0 g_loss {records[0].g_loss:.4f} -> {records[-1].g_loss:.4f}; "
+                  + ablation_detail(ablation_results))
+        with criterion(7, "seeded training converges with finite logs", detail):
             for log in ablation_results["logs"].values():
                 for record in log.records:
                     assert np.isfinite([record.g_loss, record.d_image_loss,

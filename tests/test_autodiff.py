@@ -49,6 +49,29 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
         assert np.all(np.isfinite(out.data))
 
+    @pytest.mark.parametrize("slope", [1e-300, 0.01, 0.2, 0.5, 1.0])
+    def test_leaky_relu_equals_where_form_bit_for_bit(self, slope):
+        rng = np.random.default_rng(5)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.concatenate([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
+                             np.inf, -np.inf, 1e308, -1e308],
+                            rng.standard_normal(50)])
+        a = Tensor(x, requires_grad=True)
+        out = ad.leaky_relu(a, slope)
+        ref = np.where(x > 0.0, x, slope * x)
+        # uint64 views, so that -0.0 and 0.0 count as different
+        assert np.array_equal(out.data.view(np.uint64), ref.view(np.uint64))
+        g = rng.standard_normal(x.shape)
+        out._backward(g)
+        expected = np.where(x > 0.0, g, slope * g)
+        assert np.array_equal(a.grad.view(np.uint64), expected.view(np.uint64))
+
+    def test_leaky_relu_with_zero_slope_on_finite_input(self):
+        x = np.array([-0.0, 0.0, -2.0, 3.0, -np.finfo(np.float64).smallest_subnormal])
+        ref = np.where(x > 0.0, x, 0.0 * x)
+        assert np.array_equal(ad.leaky_relu(Tensor(x), 0.0).data.view(np.uint64),
+                              ref.view(np.uint64))
+
     def test_mean_and_sum(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
         assert ad.mean(a).item() == pytest.approx(2.5)

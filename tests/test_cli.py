@@ -1,12 +1,12 @@
 """End-to-end command-line behavior: flags, config files, outputs, exit codes."""
 
 import argparse
+import fcntl
 import os
-import socket
 import subprocess
 import sys
 import threading
-import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -49,6 +49,18 @@ def patch_image(tmp_path, size=16, seed=2):
     path = tmp_path / "patch.pgm"
     write_pgm(path, rng.uniform(0, 1, (size, size)))
     return path
+
+
+@contextmanager
+def held_lock(out):
+    """Hold the run lock of directory ``out`` as another run would."""
+    out.mkdir(parents=True, exist_ok=True)
+    fd = os.open(out / ".aift-lock", os.O_RDWR | os.O_CREAT)
+    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    try:
+        yield
+    finally:
+        os.close(fd)
 
 
 class TestArgumentHandling:
@@ -182,73 +194,64 @@ class TestRunDirProtocol:
         assert keys == sorted(keys)
 
     def test_lock_released_after_run(self, corpus):
-        assert not (corpus / ".aift-lock").exists()
+        # the empty lock file stays behind; only a held flock is a lock
+        lock = corpus / ".aift-lock"
+        assert lock.read_bytes() == b""
+        fd = os.open(lock, os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
 
     @staticmethod
-    def _lock_text(pid, host=None):
-        return f"{host or socket.gethostname()} {pid}\n"
-
-    @staticmethod
-    def _dead_pid():
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped, so its PID names no process
-        return child.pid
-
-    def _eval_into(self, tmp_path, lock_text):
-        out = tmp_path / "busy"
-        out.mkdir()
-        (out / ".aift-lock").write_text(lock_text)
+    def _eval_into(tmp_path, out):
         scores = tmp_path / "scores.csv"
         scores.write_text("path,label,image_score\na,defect,0.9\nb,normal,0.1\n")
-        return main(["eval", "--scores", str(scores), "--out", str(out)]), out
+        return main(["eval", "--scores", str(scores), "--out", str(out)])
 
     def test_held_lock_fails_with_integrity_code(self, tmp_path):
-        # the lock names this very process, which is certainly alive
-        text = self._lock_text(os.getpid())
-        rc, out = self._eval_into(tmp_path, text)
-        assert rc == 4
-        assert (out / ".aift-lock").read_text() == text
-
-    @pytest.mark.parametrize("text", ["", "not-a-pid\n", "0\n", "-1\n", "12345\n",
-                                      f"{socket.gethostname()} 0\n",
-                                      f"{socket.gethostname()} x\n"])
-    def test_unreadable_lock_counts_as_held(self, tmp_path, text):
-        rc, out = self._eval_into(tmp_path, text)
-        assert rc == 4
-        assert (out / ".aift-lock").read_text() == text
+        out = tmp_path / "busy"
+        with held_lock(out):
+            assert self._eval_into(tmp_path, out) == 4
+        assert not (out / "report.csv").exists()
+        assert not (out / "effective-config.txt").exists()
 
     def test_lock_of_a_dead_run_is_taken_over(self, tmp_path):
-        rc, out = self._eval_into(tmp_path, self._lock_text(self._dead_pid()))
-        assert rc == 0
+        out = tmp_path / "orphan"
+        out.mkdir()
+        lock = out / ".aift-lock"
+        holder_code = ("import fcntl, os, sys\n"
+                       f"fd = os.open({str(lock)!r}, os.O_RDWR | os.O_CREAT)\n"
+                       "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+                       "print('held', flush=True)\n"
+                       "sys.stdin.read()\n")
+        with subprocess.Popen([sys.executable, "-c", holder_code], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True) as holder:
+            try:
+                assert holder.stdout.readline() == "held\n"
+                assert self._eval_into(tmp_path, out) == 4
+            finally:
+                holder.kill()  # SIGKILL: the holder gets no chance to clean up
+        assert self._eval_into(tmp_path, out) == 0
         assert (out / "report.csv").is_file()
-        assert not (out / ".aift-lock").exists()
+        assert lock.read_bytes() == b""
 
-    def test_lock_from_another_host_counts_as_held(self, tmp_path):
-        # its PID may be dead here and alive on the host that wrote it
-        text = self._lock_text(self._dead_pid(), host=f"not-{socket.gethostname()}")
-        rc, out = self._eval_into(tmp_path, text)
-        assert rc == 4
-        assert (out / ".aift-lock").read_text() == text
+    def test_failed_config_echo_releases_the_lock(self, tmp_path):
+        out = tmp_path / "run"
+        args = argparse.Namespace(out=str(out), command="eval")
+        (out / "effective-config.txt").mkdir(parents=True)  # not writable as a file
+        with pytest.raises(OSError):
+            _RunDir(args).__enter__()
+        (out / "effective-config.txt").rmdir()
+        with _RunDir(args):
+            pass
 
-    def test_exit_leaves_another_runs_lock(self, tmp_path):
-        out = tmp_path / "shared"
-        with _RunDir(argparse.Namespace(out=str(out), command="eval")):
-            (out / ".aift-lock").write_text(self._lock_text(os.getpid(), host="other"))
-        assert (out / ".aift-lock").read_text() == self._lock_text(os.getpid(), host="other")
-
-    def test_concurrent_takeovers_leave_one_holder(self, tmp_path, monkeypatch):
-        # every thread finds the same dead lock; the liveness probe is slowed
-        # so that all of them are inside the takeover at the same time
+    def test_concurrent_takeovers_leave_one_holder(self, tmp_path):
+        # an empty lock file is left over from an earlier run; the winner
+        # holds the directory until every other thread has been refused
         out = tmp_path / "contested"
         out.mkdir()
-        (out / ".aift-lock").write_text(self._lock_text(self._dead_pid()))
-        real_kill = os.kill
-
-        def slow_kill(pid, sig):
-            time.sleep(0.05)
-            return real_kill(pid, sig)
-
-        monkeypatch.setattr(os, "kill", slow_kill)
+        (out / ".aift-lock").write_bytes(b"")
         workers = 6
         start = threading.Barrier(workers)
         losers_done = threading.Event()
@@ -272,7 +275,8 @@ class TestRunDirProtocol:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
         assert (len(wins), len(losses)) == (1, workers - 1)
-        assert not (out / ".aift-lock").exists()
+        with held_lock(out):  # released by the winner
+            pass
 
 
 class TestSynth:
@@ -307,14 +311,13 @@ class TestSynth:
     def test_force_leaves_a_locked_directory_alone(self, tmp_path):
         out = tmp_path / "busy"
         (out / "normal").mkdir(parents=True)
-        text = f"{socket.gethostname()} {os.getpid()}\n"
-        (out / ".aift-lock").write_text(text)
         (out / "normal" / "kept.pgm").write_text("x")
-        rc = main(["synth", "--normal", "1", "--defect", "1", "--patch-size", "8",
-                   "--force", "--out", str(out)])
+        with held_lock(out):
+            rc = main(["synth", "--normal", "1", "--defect", "1", "--patch-size", "8",
+                       "--force", "--out", str(out)])
         assert rc == 4
-        assert (out / ".aift-lock").read_text() == text
         assert (out / "normal" / "kept.pgm").read_text() == "x"
+        assert sorted(p.name for p in out.iterdir()) == [".aift-lock", "normal"]
 
 
 class TestTrain:
@@ -434,6 +437,28 @@ class TestDetect:
     def test_rejects_neither_source(self, ckpt, tmp_path):
         rc = main(["detect", "--ckpt", str(ckpt), "--out", str(tmp_path / "run")])
         assert rc == 2
+
+    @pytest.mark.parametrize("stride", ["999", "17", "-5"])
+    def test_bad_stride_is_config_error_before_any_output(self, corpus, ckpt,
+                                                          tmp_path, stride):
+        road = tmp_path / "road.pgm"
+        write_pgm(road, np.random.default_rng(3).uniform(0, 1, (24, 40)))
+        for source in (["--data", str(corpus)], ["--image", str(road)]):
+            out = tmp_path / "run"
+            rc = main(["detect", "--ckpt", str(ckpt), *source, "--stride", stride,
+                       "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
+
+    def test_strided_image_covers_the_whole_image(self, ckpt, tmp_path):
+        road = tmp_path / "road.pgm"
+        write_pgm(road, np.random.default_rng(3).uniform(0, 1, (24, 40)))
+        out = tmp_path / "run"
+        rc = main(["detect", "--ckpt", str(ckpt), "--image", str(road),
+                   "--stride", "8", "--out", str(out)])
+        assert rc == 0
+        score_map = np.loadtxt(out / "maps" / "road.csv", delimiter=",", ndmin=2)
+        assert score_map.shape == (24, 40)
 
     def test_missing_image_is_input_error(self, ckpt, tmp_path):
         rc = main(["detect", "--ckpt", str(ckpt),
