@@ -1,4 +1,5 @@
-"""Minimal reverse-mode automatic differentiation on float64 numpy arrays.
+"""Minimal reverse-mode automatic differentiation on float32 or float64 numpy
+arrays.
 
 The engine is define-by-run: every operation immediately computes its value
 and, when gradients are enabled, records a backward closure plus references
@@ -11,6 +12,12 @@ tensor can be reused as a fresh leaf.
 Only the operations needed by the models in this package are provided.
 Shapes are checked strictly: apart from the explicit bias-add helpers there
 is no broadcasting.
+
+Dtypes follow the data.  A tensor keeps float32 or float64 values as given
+(anything else becomes float64), every buffer an operation allocates takes
+its operands' dtype, and an operation that mixes the two follows numpy
+promotion, so float64 wins.  Gradients are never cast down: a float32 leaf
+used in a float64 computation receives a float64 gradient.
 """
 
 from __future__ import annotations
@@ -43,12 +50,14 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array with an optional gradient and graph bookkeeping."""
+    """A float32 or float64 array with an optional gradient and graph
+    bookkeeping; any other input is cast to float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_tape_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._backward = None
@@ -228,7 +237,7 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
+        _accumulate(a, np.full(a.shape, g))
 
     return _record(np.asarray(a.data.sum()), (a,), backward)
 
@@ -239,7 +248,7 @@ def mean(a: Tensor) -> Tensor:
         raise DimensionError("mean of an empty tensor")
 
     def backward(g):
-        _accumulate(a, np.full_like(a.data, float(g) / n))
+        _accumulate(a, np.full(a.shape, g / n))
 
     return _record(np.asarray(a.data.mean()), (a,), backward)
 
@@ -378,7 +387,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     batch/row/column order).  The padded copy is channel-last, so each row
     is gathered from short contiguous runs."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
     xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
@@ -428,7 +437,7 @@ def _scatter_taps(taps: np.ndarray, stride: int, full_h: int, full_w: int) -> np
     s = stride
     th, tw = -(-kh // s), -(-kw // s)
     if th * s != kh or tw * s != kw:
-        padded = np.zeros((n, ho, wo, th * s, tw * s, c))
+        padded = np.zeros((n, ho, wo, th * s, tw * s, c), dtype=taps.dtype)
         padded[:, :, :, :kh, :kw] = taps
         taps = padded
     # [N, di, dj, Ho, phase a, Wo, phase b, C]
@@ -436,7 +445,7 @@ def _scatter_taps(taps: np.ndarray, stride: int, full_h: int, full_w: int) -> np
     # at least full_h x full_w: conv2d's input can end in rows no window reads
     hh = max(ho + th - 1, -(-full_h // s))
     ww = max(wo + tw - 1, -(-full_w // s))
-    out = np.zeros((n, hh, s, ww, s, c))
+    out = np.zeros((n, hh, s, ww, s, c), dtype=taps.dtype)
     for di in range(th):
         for dj in range(tw):
             out[:, di:di + ho, :, dj:dj + wo] += taps[:, di, dj]

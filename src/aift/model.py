@@ -7,9 +7,12 @@ spatial patch, ``dec_image`` the reverse.  The discriminator runs a shared
 conv trunk into one of two scalar dense heads (one per domain), ending in a
 sigmoid likelihood.
 
+The model computes and stores in float32: parameters are float32 tensors,
+and a plain input batch is cast to the parameters' dtype on the way in.
 Checkpoints are a small self-describing binary format (magic ``AIFT``,
-version, metadata, then named float32 tensors, all little-endian).  Loading
-a checkpoint and saving it again reproduces the file byte for byte.
+version, metadata, then named float32 tensors, all little-endian), so a
+trained model and its checkpoint hold the same bits.  Loading a checkpoint
+and saving it again reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ I2F = "image_to_frequency"
 F2I = "frequency_to_image"
 DIRECTIONS = (I2F, F2I)
 DOMAINS = ("image", "frequency")
+
+MODEL_DTYPE = np.float32
 
 _MAGIC = b"AIFT"
 _VERSION = 1
@@ -97,8 +102,8 @@ def _fan_in(name: str, shape: tuple[int, ...]) -> int:
 def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftParams:
     """Deterministically initialize a fresh model.
 
-    Weights are uniform in +-sqrt(6 / fan_in), biases zero.  The same seed
-    always yields bit-identical tensors.
+    Weights are drawn uniform in +-sqrt(6 / fan_in) and rounded once to
+    float32, biases zero.  The same seed always yields bit-identical tensors.
     """
     if patch_size not in PATCH_SIZES:
         raise ConfigurationError(f"patch_size must be one of {PATCH_SIZES}, got {patch_size}")
@@ -110,18 +115,24 @@ def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftPara
     tensors: dict[str, Tensor] = {}
     for name, shape in _layer_plan(patch_size, base_channels):
         if name.endswith(".b"):
-            data = np.zeros(shape)
+            data = np.zeros(shape, dtype=MODEL_DTYPE)
         else:
             bound = np.sqrt(6.0 / _fan_in(name, shape))
-            data = rng.uniform(-bound, bound, size=shape)
+            data = rng.uniform(-bound, bound, size=shape).astype(MODEL_DTYPE)
         tensors[name] = Tensor(data, requires_grad=True)
     return AiftParams(patch_size, base_channels, seed, tensors)
 
 
-def _check_patch_batch(params: AiftParams, x: Tensor, who: str) -> None:
+def _check_patch_batch(params: AiftParams, x: Tensor, who: str, weight: str) -> Tensor:
+    """Check the batch shape; a plain input (no graph behind it) comes back
+    cast to the dtype of the parameter ``weight``."""
     p = params.patch_size
     if x.data.ndim != 4 or x.shape[1] != 1 or x.shape[2] != p or x.shape[3] != p:
         raise DimensionError(f"{who} expects [N, 1, {p}, {p}], got {x.shape}")
+    dtype = params.tensors[weight].data.dtype
+    if x.requires_grad or x.data.dtype == dtype:
+        return x
+    return Tensor(x.data.astype(dtype))
 
 
 def _run_conv_stack(params: AiftParams, x: Tensor, prefix: str) -> Tensor:
@@ -138,7 +149,7 @@ def generate(params: AiftParams, x: Tensor, direction: str) -> Tensor:
     """Map a batch through one generator direction; output in (0, 1)."""
     if direction not in DIRECTIONS:
         raise ConfigurationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    _check_patch_batch(params, x, "generate")
+    x = _check_patch_batch(params, x, "generate", "gen.enc.0.w")
     h = _run_conv_stack(params, x, "gen.enc")
     head = "gen.dec_freq" if direction == I2F else "gen.dec_image"
     for i in range(N_STAGES):
@@ -154,7 +165,7 @@ def discriminate(params: AiftParams, x: Tensor, domain: str) -> Tensor:
     """Score a batch as [N, 1] likelihoods of being a real sample of ``domain``."""
     if domain not in DOMAINS:
         raise ConfigurationError(f"domain must be one of {DOMAINS}, got {domain!r}")
-    _check_patch_batch(params, x, "discriminate")
+    x = _check_patch_batch(params, x, "discriminate", "disc.trunk.0.w")
     h = _run_conv_stack(params, x, "disc.trunk")
     head = "disc.image_head" if domain == "image" else "disc.freq_head"
     flat = ad.flatten(h)
@@ -209,7 +220,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> AiftParams:
-    """Read a checkpoint back into trainable float64 tensors.
+    """Read a checkpoint back into trainable float32 tensors, bit for bit.
 
     Raises IntegrityError on a bad magic, unknown version, trailing bytes or
     a tensor listing that does not match the declared architecture.
@@ -239,7 +250,7 @@ def load_checkpoint(path) -> AiftParams:
         shape = tuple(reader.unpack(f"<{rank}I")) if rank else ()
         n_values = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = reader.take(4 * n_values)
-        data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        data = np.frombuffer(raw, dtype="<f4").astype(MODEL_DTYPE).reshape(shape)
         tensors[name] = Tensor(data, requires_grad=True)
     if not reader.done():
         raise IntegrityError("trailing bytes after checkpoint payload")

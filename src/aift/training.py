@@ -27,7 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .errors import ConfigurationError, ContractError, DimensionError
-from .model import AiftParams, F2I, I2F, generate, discriminate, init_params
+from .model import (AiftParams, F2I, I2F, MODEL_DTYPE, generate, discriminate,
+                    init_params)
 from .optim import Adam
 
 LOSS_MODES = ("re", "gan", "total")
@@ -178,10 +179,14 @@ def _domain_loss(d_real: Tensor, d_fake: Tensor) -> float:
 
 def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
                config: TrainConfig, g_opt: Adam, d_opt: Adam) -> StepLosses:
-    """Run one critic-then-generator update on a single minibatch."""
+    """Run one critic-then-generator update on a single minibatch.
+
+    The batch enters as float32, the model's dtype, so that a float64 target
+    cannot promote the reconstruction gradient and every GEMM behind it.
+    """
     images, freqs = batch
-    x_image = Tensor(images)
-    x_freq = Tensor(freqs)
+    x_image = Tensor(np.asarray(images, dtype=MODEL_DTYPE))
+    x_freq = Tensor(np.asarray(freqs, dtype=MODEL_DTYPE))
     mode = config.loss_mode
 
     d_image_loss = 0.0
@@ -227,7 +232,8 @@ def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
 def train(dataset: tuple[np.ndarray, np.ndarray], config: TrainConfig,
           params: AiftParams | None = None,
           epoch_callback=None) -> tuple[AiftParams, TrainLog]:
-    """Train on paired arrays (images [M, 1, P, P], freqs [M, 1, P, P]).
+    """Train on paired arrays (images [M, 1, P, P], freqs [M, 1, P, P]),
+    cast once to float32, the model's dtype.
 
     Minibatches are drawn without replacement from a seeded shuffle each
     epoch; a trailing partial batch is dropped.  Returns the trained
@@ -235,8 +241,8 @@ def train(dataset: tuple[np.ndarray, np.ndarray], config: TrainConfig,
     """
     config.validate()
     images, freqs = dataset
-    images = np.asarray(images, dtype=np.float64)
-    freqs = np.asarray(freqs, dtype=np.float64)
+    images = np.asarray(images, dtype=MODEL_DTYPE)
+    freqs = np.asarray(freqs, dtype=MODEL_DTYPE)
     if images.ndim != 4 or freqs.shape != images.shape:
         raise DimensionError(
             f"dataset must be two equal [M, 1, P, P] stacks, got {images.shape} and {freqs.shape}")

@@ -284,3 +284,131 @@ class TestConvolutionValues:
     def test_kernel_larger_than_input(self):
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+
+def _kernel_grad_loops(x, g, kshape, stride, padding, transpose):
+    """Kernel gradient of sum(op(x, k) * g), one kernel tap at a time."""
+    grad = np.zeros(kshape)
+    if transpose:
+        # out_full[n, o, i * s + u, j * s + v] += x[n, c, i, j] * k[c, o, u, v]
+        gp = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        h, w = x.shape[2:]
+        for c, o, u, v in np.ndindex(*kshape):
+            taps = gp[:, o, u:u + h * stride:stride, v:v + w * stride:stride]
+            grad[c, o, u, v] = np.sum(x[:, c] * taps)
+    else:
+        # out[n, o, i, j] = sum xp[n, c, i * s + u, j * s + v] * k[o, c, u, v]
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        ho, wo = g.shape[2:]
+        for o, c, u, v in np.ndindex(*kshape):
+            taps = xp[:, c, u:u + ho * stride:stride, v:v + wo * stride:stride]
+            grad[o, c, u, v] = np.sum(taps * g[:, o])
+    return grad
+
+
+# name: (leaf shapes, scalar loss through the op, range of the leaf values)
+_OPS = {
+    "add": ([(2, 3), (2, 3)], lambda a, b: ad.mean(ad.add(a, b)), (-1, 1)),
+    "sub": ([(2, 3), (2, 3)], lambda a, b: ad.mean(ad.sub(a, b)), (-1, 1)),
+    "mul": ([(2, 3), (2, 3)], lambda a, b: ad.tsum(ad.mul(a, b)), (-1, 1)),
+    "neg-scalars": ([(4,)], lambda a: ad.mean(1.5 - 2.0 * (-a) + 0.5), (-1, 1)),
+    "log": ([(5,)], lambda a: ad.mean(ad.log(a)), (0.1, 1)),
+    "sigmoid": ([(5,)], lambda a: ad.mean(ad.sigmoid(a)), (-30, 30)),
+    "tanh": ([(5,)], lambda a: ad.mean(ad.tanh(a)), (-1, 1)),
+    "leaky_relu": ([(5,)], lambda a: ad.mean(ad.leaky_relu(a, 0.2)), (-1, 1)),
+    "clip": ([(5,)], lambda a: ad.mean(ad.clip(a, -0.5, 0.5)), (-1, 1)),
+    "flatten": ([(2, 3, 2)], lambda a: ad.mean(ad.flatten(a)), (-1, 1)),
+    "dense": ([(3, 4), (4, 2), (2,)], lambda x, w, b: ad.mean(ad.dense(x, w, b)), (-1, 1)),
+    "channel-bias": ([(2, 3, 4, 4), (3,)],
+                     lambda x, b: ad.mean(ad.add_channel_bias(x, b)), (-1, 1)),
+    # more output pixels than kernels: the kernel route of _tap_gemm
+    "conv2d-kernel-route": ([(2, 3, 8, 8), (5, 3, 4, 4)],
+                            lambda x, k: ad.mean(ad.conv2d(x, k, 2, 1)), (-1, 1)),
+    # fewer output pixels than kernels: the product route
+    "conv2d-product-route": ([(1, 3, 4, 4), (40, 3, 4, 4)],
+                             lambda x, k: ad.mean(ad.conv2d(x, k, 2, 1)), (-1, 1)),
+    # a 3x3 kernel at stride 2 is zero-padded to 4x4 in the scatter
+    "conv2d-k3-s2": ([(2, 3, 7, 7), (4, 3, 3, 3)],
+                     lambda x, k: ad.mean(ad.conv2d(x, k, 2, 0)), (-1, 1)),
+    "conv_transpose2d-kernel-route": ([(2, 5, 3, 3), (5, 3, 4, 4)],
+                                      lambda x, k: ad.mean(ad.conv_transpose2d(x, k, 2, 1)),
+                                      (-1, 1)),
+    "conv_transpose2d-product-route": ([(1, 8, 1, 2), (8, 3, 4, 4)],
+                                       lambda x, k: ad.mean(ad.conv_transpose2d(x, k, 2, 1)),
+                                       (-1, 1)),
+    "conv_transpose2d-k3-s2": ([(2, 3, 4, 5), (3, 2, 3, 3)],
+                               lambda x, k: ad.mean(ad.conv_transpose2d(x, k, 2, 0)), (-1, 1)),
+}
+
+
+def _run_op(name, dtype):
+    """The loss and leaf gradients of one _OPS case, on seeded values in ``dtype``."""
+    shapes, loss_of, (lo, hi) = _OPS[name]
+    rng = np.random.default_rng(sorted(_OPS).index(name))
+    leaves = [Tensor(rng.uniform(lo, hi, shape).astype(dtype), requires_grad=True)
+              for shape in shapes]
+    loss = loss_of(*leaves)
+    loss.backward()
+    return loss.data, [leaf.grad for leaf in leaves]
+
+
+class TestDtypePolicy:
+    @pytest.mark.parametrize("name", list(_OPS))
+    def test_float32_in_float32_out(self, name):
+        loss, grads = _run_op(name, np.float32)
+        assert loss.dtype == np.float32
+        assert [g.dtype for g in grads] == [np.float32] * len(grads)
+        # and the values are those of the float64 computation, to float32 precision
+        loss64, grads64 = _run_op(name, np.float64)
+        np.testing.assert_allclose(loss, loss64, rtol=1e-5, atol=1e-6)
+        for g, g64 in zip(grads, grads64):
+            np.testing.assert_allclose(g, g64, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("data", [np.arange(6).reshape(2, 3), np.ones((2, 2), dtype=bool),
+                                      np.linspace(0, 1, 5).astype(np.float16), [1, 2, 3], 3, 2.5],
+                             ids=["int", "bool", "float16", "int-list", "int-scalar", "py-float"])
+    def test_other_inputs_become_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    def test_float32_and_float64_are_kept_as_given(self):
+        x32 = np.ones(3, dtype=np.float32)
+        x64 = np.ones(3)
+        assert Tensor(x32).data is x32
+        assert Tensor(x64).data is x64
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
+    def test_float64_input_with_float32_kernel_is_float64(self, transpose):
+        # the trained kernels are float32 while callers may pass float64 data;
+        # the op promotes to float64 and keeps the float64 loop accuracy
+        rng = np.random.default_rng(77)
+        if transpose:
+            x = rng.uniform(0, 1, (2, 6, 5, 5))
+            k = rng.standard_normal((6, 3, 4, 4)).astype(np.float32)
+            op, loops = ad.conv_transpose2d, conv_transpose2d_loops
+        else:
+            x = rng.uniform(0, 1, (2, 1, 8, 8))
+            k = rng.standard_normal((6, 1, 4, 4)).astype(np.float32)
+            op, loops = ad.conv2d, conv2d_loops
+        kt = Tensor(k, requires_grad=True)
+        out = op(Tensor(x), kt, 2, 1)
+        assert out.data.dtype == np.float64
+        assert np.max(np.abs(out.data - loops(x, k, 2, 1))) < 1e-10
+        g = rng.standard_normal(out.shape)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        assert kt.grad.dtype == np.float64
+        ref = _kernel_grad_loops(x, g, k.shape, 2, 1, transpose)
+        assert np.max(np.abs(kt.grad - ref)) < 1e-9
+
+    def test_mixed_gradients_are_not_cast_down(self):
+        a = Tensor(RNG.uniform(-1, 1, 4).astype(np.float32), requires_grad=True)
+        b = Tensor(RNG.uniform(-1, 1, 4), requires_grad=True)
+        loss = ad.tsum(ad.mul(a, b))
+        assert loss.data.dtype == np.float64
+        loss.backward()
+        assert a.grad.dtype == np.float64
+        np.testing.assert_array_equal(a.grad, b.data)
+        # a reduction hands a float64 gradient on as float64 too
+        c = Tensor(RNG.uniform(-1, 1, 4).astype(np.float32), requires_grad=True)
+        ad.mul(ad.mean(c), Tensor(3.0)).backward()
+        assert c.grad.dtype == np.float64
+        np.testing.assert_array_equal(c.grad, np.full(4, 0.75))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import aift.autodiff as ad
-from aift import (Tensor, TrainConfig, atcl_loss, init_params, recon_loss,
-                  total_loss, train, train_step)
+from aift import (Tensor, TrainConfig, atcl_loss, detect, init_params, load_checkpoint,
+                  recon_loss, save_checkpoint, total_loss, train, train_step)
+from aift.detection import DETECT_MODES
 from aift.errors import ConfigurationError, ContractError, DimensionError
 from aift.model import F2I, I2F, generate, discriminate
 from aift.optim import Adam
@@ -284,3 +285,34 @@ class TestTrainLoop:
         cfg = _fresh("re", epochs=8, batch_size=6, lr=3e-3)
         _, log = train((images, freqs), cfg)
         assert log.records[-1].g_loss < log.records[0].g_loss
+
+
+class TestModelDtype:
+    def test_float64_batch_leaves_everything_float32(self):
+        # the batch is float64, as a caller may pass it; the step must not
+        # promote a parameter, a gradient or an Adam moment to float64
+        images, freqs = toy_batch()
+        assert images.dtype == np.float64
+        params = init_params(16, 0, base_channels=4)
+        cfg = _fresh("total", critic_iters=1)
+        g_opt, d_opt = _opts(params, cfg)
+        train_step(params, (images, freqs), cfg, g_opt, d_opt)
+        for name, t in params.tensors.items():
+            assert t.data.dtype == np.float32, name
+            assert t.grad is not None and t.grad.dtype == np.float32, name
+        for opt in (g_opt, d_opt):
+            assert all(m.dtype == np.float32 for m in opt.state.m + opt.state.v)
+
+    def test_trained_model_scores_as_its_checkpoint(self, tmp_path):
+        # what is trained is what is saved: detect on the in-memory model and
+        # on the reloaded checkpoint gives the same bits
+        images, freqs = toy_batch(n=6)
+        params, _ = train((images, freqs), _fresh("total", epochs=2, batch_size=3))
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        rng = np.random.default_rng(3)
+        for mode in DETECT_MODES:
+            for _ in range(3):
+                patch = rng.uniform(0, 1, (16, 16))
+                assert np.array_equal(detect(params, patch, mode=mode).score_map,
+                                      detect(loaded, patch, mode=mode).score_map)
