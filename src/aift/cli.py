@@ -1,9 +1,11 @@
 """Command-line surface: synth, train, transform, detect, eval, ablation.
 
 Every command takes an optional ``--config`` file of ``key = value`` lines
-(``#`` starts a comment); explicit flags override file values and unknown
-keys are rejected.  The seed resolution order is flag, config file, the
-``AIFT_SEED`` environment variable, then 0.
+(``#`` starts a comment).  argparse is the one parser and validator: a
+config file is read as ``--key=value`` flags placed before the command
+line's own, so explicit flags override file values, and unknown keys are
+rejected like unknown flags.  The seed resolution order is flag, config
+file, the ``AIFT_SEED`` environment variable, then 0.
 
 Every command writes an ``effective-config.txt`` echo (with a tool-version
 line) into its output directory and refuses to share that directory with a
@@ -12,8 +14,9 @@ file; the kernel releases it when the run ends, however it ends.  All
 numerical outputs are deterministic for a fixed seed: floats are serialized
 with ``repr`` so reruns produce byte-identical CSVs.
 
-Exit codes: 0 success, 2 configuration error, 3 input error, 4 integrity
-error, 1 any other failure.
+Exit codes: 0 success, 2 configuration error (every settings error, from a
+flag or a config file, prints one ``aift: configuration error:`` line), 3
+input error, 4 integrity error, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -46,19 +49,8 @@ EXIT_INPUT = 3
 EXIT_INTEGRITY = 4
 
 _LOCK_NAME = ".aift-lock"
-_CONFIG_KEY_ALIASES = {"lambda": "lam"}
-_DEST_TO_KEY = {"lam": "lambda"}
-
-# Required settings are validated after the config-file merge (not by
-# argparse) so that a config file can supply them too.
-_REQUIRED = {
-    "synth": ("normal", "defect"),
-    "train": ("data",),
-    "transform": ("ckpt", "image"),
-    "detect": ("ckpt",),
-    "eval": (),
-    "ablation": ("data", "seeds"),
-}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def _ft(x: float) -> str:
@@ -69,18 +61,36 @@ def _ft(x: float) -> str:
 # -- argument handling --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every parse error as a ConfigurationError; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer (default: $AIFT_SEED, else 0), got {text!r}")
+    return seed
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE",
                      help="key = value defaults file; flags override it")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_seed, default=os.environ.get("AIFT_SEED", "0"),
                      help="RNG seed (default: $AIFT_SEED, else 0)")
-    sub.add_argument("--out", help="output directory (required)")
+    sub.add_argument("--out", required=True, help="output directory")
 
 
 def _add_train_knobs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epochs", type=int, default=50)
     sub.add_argument("--batch", type=int, default=64)
-    sub.add_argument("--lambda", dest="lam", type=float, default=0.1,
+    sub.add_argument("--lambda", dest="lambda", type=float, default=0.1,
                      help="reconstruction weight in the total loss")
     sub.add_argument("--critic-iters", type=int, default=10,
                      help="discriminator updates per generator update")
@@ -94,7 +104,7 @@ def _add_train_knobs(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aift",
         description="Adversarial image-to-frequency transform for road-defect detection")
     parser.add_argument("--version", action="version", version=f"aift {__version__}")
@@ -103,9 +113,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     s = subs["synth"] = subparsers.add_parser(
         "synth", help="generate the synthetic pavement corpus")
-    s.add_argument("--normal", type=int,
+    s.add_argument("--normal", type=int, required=True,
                    help="number of normal training patches")
-    s.add_argument("--defect", type=int,
+    s.add_argument("--defect", type=int, required=True,
                    help="number of defect test patches (matched by as many normal test patches)")
     s.add_argument("--patch-size", type=int, default=32)
     s.add_argument("--force", action="store_true",
@@ -113,7 +123,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common(s)
 
     s = subs["train"] = subparsers.add_parser("train", help="train a model on a corpus")
-    s.add_argument("--data", help="corpus directory with manifest.csv")
+    s.add_argument("--data", required=True, help="corpus directory with manifest.csv")
     s.add_argument("--loss", choices=LOSS_MODES, default="total")
     _add_train_knobs(s)
     s.add_argument("--ckpt-every", type=int, default=0,
@@ -122,15 +132,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     s = subs["transform"] = subparsers.add_parser(
         "transform", help="write the four transform panels for one patch")
-    s.add_argument("--ckpt")
-    s.add_argument("--image")
+    s.add_argument("--ckpt", required=True)
+    s.add_argument("--image", required=True)
     _add_common(s)
 
     s = subs["detect"] = subparsers.add_parser(
         "detect", help="score images against a trained model")
-    s.add_argument("--ckpt")
-    s.add_argument("--data", help="corpus directory (scores its test split)")
-    s.add_argument("--image", help="single image file")
+    s.add_argument("--ckpt", required=True)
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="corpus directory (scores its test split)")
+    source.add_argument("--image", help="single image file")
     s.add_argument("--mode", choices=DETECT_MODES, default="fourier")
     s.add_argument("--stride", type=int, default=0,
                    help="patch stride for images larger than the patch size (0: patch size)")
@@ -147,8 +158,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     s = subs["ablation"] = subparsers.add_parser(
         "ablation", help="train and evaluate the loss-mode ablation grid")
-    s.add_argument("--data")
-    s.add_argument("--seeds", help="comma-separated seeds, e.g. 0,1,2")
+    s.add_argument("--data", required=True)
+    s.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 0,1,2")
     s.add_argument("--loss-modes", default=",".join(LOSS_MODES),
                    help="comma-separated subset of re,gan,total")
     _add_train_knobs(s)
@@ -157,80 +168,50 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, subs
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """Turn a config file's ``key = value`` lines into ``--key=value`` flags.
+
+    The one-token form keeps a value such as ``-1e-3`` from reading as an
+    option.  A flag key (``force``) becomes the bare flag when its value is
+    true and is left out when it is false.
+    """
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file {path} not found")
-    values: dict[str, str] = {}
+    tokens: list[str] = []
     for line_no, line in enumerate(p.read_text().splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        key = _CONFIG_KEY_ALIASES.get(key, key)
-        values[key] = value.strip()
-    return values
-
-
-def _coerce(action: argparse.Action, raw: str, key: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigurationError(f"config key '{key}' expects a boolean, got {raw!r}")
-    try:
-        value = action.type(raw) if action.type else raw
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"config key '{key}' has invalid value {raw!r}")
-    if action.choices is not None and value not in action.choices:
-        raise ConfigurationError(
-            f"config key '{key}' must be one of {sorted(action.choices)}, got {raw!r}")
-    return value
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        if action is None or flag in ("--help", "--config"):
+            raise ConfigurationError(f"{path}:{line_no}: unknown config key '{key}' "
+                                     f"for {sub.prog}")
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() not in _BOOL_WORDS:
+            raise ConfigurationError(
+                f"{path}:{line_no}: config key '{key}' expects a boolean, got {value!r}")
+        elif _BOOL_WORDS[value.lower()]:
+            tokens.append(flag)
+    return tokens
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser, subs = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        sub = subs[args.command]
-        actions = {a.dest: a for a in sub._actions
-                   if a.dest not in ("help", "config", "command")}
-        overrides = {}
-        for key, raw in _load_config_file(args.config).items():
-            if key not in actions:
-                raise ConfigurationError(
-                    f"unknown config key '{_DEST_TO_KEY.get(key, key)}' for command {args.command}")
-            overrides[key] = _coerce(actions[key], raw, _DEST_TO_KEY.get(key, key))
-        sub.set_defaults(**overrides)
-        args = parser.parse_args(argv)
-    missing = [key for key in (*_REQUIRED[args.command], "out")
-               if getattr(args, key, None) is None]
-    if missing:
-        shown = ", ".join("--" + _DEST_TO_KEY.get(k, k).replace("_", "-")
-                          for k in missing)
-        raise ConfigurationError(f"missing required settings for {args.command}: {shown}")
-    return args
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("AIFT_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigurationError(f"AIFT_SEED must be an integer, got {env!r}")
-        else:
-            seed = 0
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    return seed
+    pre = _Parser(add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config")
+    found, _ = pre.parse_known_args(argv)
+    if found.config and found.command in subs:
+        # right after the command name, so the command line's flags come later and win
+        at = argv.index(found.command) + 1
+        argv = [*argv[:at], *_config_tokens(found.config, subs[found.command]), *argv[at:]]
+    return parser.parse_args(argv)
 
 
 # -- output directory protocol ---------------------------------------------------
@@ -256,8 +237,7 @@ class _RunDir:
         for key in sorted(vars(self.args)):
             if key in ("command", "config"):
                 continue
-            shown = _DEST_TO_KEY.get(key, key).replace("_", "-")
-            lines.append(f"{shown} = {getattr(self.args, key)}")
+            lines.append(f"{key.replace('_', '-')} = {getattr(self.args, key)}")
         self.path.mkdir(parents=True, exist_ok=True)
         self.fd = os.open(self.path / _LOCK_NAME, os.O_RDWR | os.O_CREAT)
         try:
@@ -315,7 +295,7 @@ def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
 
 def _train_config(args: argparse.Namespace, loss_mode: str, seed: int) -> TrainConfig:
     return TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, lam=args.lam,
+        epochs=args.epochs, batch_size=args.batch, lam=getattr(args, "lambda"),
         critic_iters=args.critic_iters, lr=args.lr, beta1=args.beta1,
         beta2=args.beta2, loss_mode=loss_mode, seed=seed,
         base_channels=args.base_channels,
@@ -410,8 +390,6 @@ def cmd_transform(args: argparse.Namespace) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> None:
-    if bool(args.data) == bool(args.image):
-        raise ConfigurationError("pass exactly one of --data or --image")
     params = load_checkpoint(args.ckpt)
     if not 0 <= args.stride <= params.patch_size:
         raise ConfigurationError(
@@ -574,7 +552,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-        args.seed = _resolve_seed(args)
         _HANDLERS[args.command](args)
         return EXIT_OK
     except ConfigurationError as exc:

@@ -55,14 +55,11 @@ def read_pgm(path) -> np.ndarray:
     tokens = _pgm_tokens(buf)
     header: list[str] = []
     pos = 0
-    try:
-        while len(header) < 4:
-            token, pos = next(tokens)
-            if token is None:
-                raise InputError(f"{path}: truncated PGM header")
-            header.append(token)
-    except StopIteration:  # pragma: no cover - generator always yields a sentinel
-        raise InputError(f"{path}: truncated PGM header")
+    while len(header) < 4:
+        token, pos = next(tokens)  # the generator ends on a (None, pos) sentinel
+        if token is None:
+            raise InputError(f"{path}: truncated PGM header")
+        header.append(token)
     magic = header[0]
     if magic not in ("P2", "P5"):
         raise InputError(f"{path}: unsupported magic {magic!r}, expected P2 or P5")
@@ -117,7 +114,7 @@ def load_image(path) -> np.ndarray:
     """Load a grayscale image as float64 in [0, 1] (PGM natively, PNG via Pillow)."""
     path = Path(path)
     suffix = path.suffix.lower()
-    if suffix in (".pgm", ".ppm"):
+    if suffix == ".pgm":
         return read_pgm(path)
     if suffix == ".png":
         try:

@@ -57,8 +57,6 @@ def jeffrey_divergence(x: np.ndarray, y: np.ndarray,
 class DetectionResult:
     score_map: np.ndarray
     image_score: float
-    mask: np.ndarray
-    threshold: float
 
 
 def _regenerate(params: AiftParams, image: np.ndarray, mode: str) -> np.ndarray:
@@ -82,30 +80,22 @@ def _check_patch(params: AiftParams, image: np.ndarray, who: str) -> np.ndarray:
     return image
 
 
-def detect(params: AiftParams, image: np.ndarray, threshold: float = 0.0,
-           mode: str = "fourier") -> DetectionResult:
+def detect(params: AiftParams, image: np.ndarray, mode: str = "fourier") -> DetectionResult:
     """Score one normalized patch against a trained model.
 
     ``fourier`` regenerates the patch from its actual frequency encoding;
-    ``roundtrip`` chains both generator directions instead.  The mask keeps
-    pixels whose score reaches the threshold, so an infinite threshold
-    yields an empty mask.
+    ``roundtrip`` chains both generator directions instead.
     """
     if mode not in DETECT_MODES:
         raise ConfigurationError(f"mode must be one of {DETECT_MODES}, got {mode!r}")
     image = _check_patch(params, image, "detect")
     regenerated = _regenerate(params, image, mode)
     total, score_map = jeffrey_divergence(image, regenerated)
-    return DetectionResult(
-        score_map=score_map,
-        image_score=total,
-        mask=score_map >= threshold,
-        threshold=float(threshold),
-    )
+    return DetectionResult(score_map=score_map, image_score=total)
 
 
 def detect_full_image(params: AiftParams, image: np.ndarray, stride: int | None = None,
-                      threshold: float = 0.0, mode: str = "fourier") -> DetectionResult:
+                      mode: str = "fourier") -> DetectionResult:
     """Score an image of any size at least one patch wide.
 
     The image is covered by an edge-aligned patch grid; each patch is
@@ -130,13 +120,8 @@ def detect_full_image(params: AiftParams, image: np.ndarray, stride: int | None 
     acc = np.zeros(image.shape)
     cover = np.zeros(image.shape)
     for y, x, patch in extract_patches(image, p, stride):
-        result = detect(params, normalize_patch(patch), threshold=threshold, mode=mode)
+        result = detect(params, normalize_patch(patch), mode=mode)
         acc[y:y + p, x:x + p] += result.score_map
         cover[y:y + p, x:x + p] += 1.0
     score_map = acc / cover
-    return DetectionResult(
-        score_map=score_map,
-        image_score=float(score_map.sum()),
-        mask=score_map >= threshold,
-        threshold=float(threshold),
-    )
+    return DetectionResult(score_map=score_map, image_score=float(score_map.sum()))

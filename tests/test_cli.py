@@ -92,10 +92,12 @@ class TestArgumentHandling:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("lambda = 0.2\n")
-        rc = main(["synth", "--config", str(cfg), "--normal", "1", "--defect", "1",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
+        for line in ("lambda = 0.2", "help = 1", f"config = {cfg}"):
+            cfg.write_text(line + "\n")
+            rc = main(["synth", "--config", str(cfg), "--normal", "1", "--defect", "1",
+                       "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert not (tmp_path / "out").exists()
 
     def test_config_value_type_checked(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -147,6 +149,35 @@ class TestArgumentHandling:
         assert rc == 0
         assert "lambda = 0.25" in (out / "effective-config.txt").read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--normal", "x", "--defect", "1", "--out", "unused"],
+        ["synth", "--normal", "1", "--defect", "1", "--bogus", "--out", "unused"],
+        ["train", "--data", "unused", "--loss", "nope", "--out", "unused"],
+        [],
+    ], ids=["bad-int", "unknown-flag", "bad-choice", "no-command"])
+    def test_flag_errors_share_the_config_error_path(self, argv, capsys):
+        assert main(argv) == 2  # returns rather than raising SystemExit
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("aift: configuration error: ")
+
+    def test_config_flag_key_takes_a_boolean(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stale.txt").write_text("x")
+        cfg.write_text("force = maybe\n")
+        rc = main(["synth", "--config", str(cfg), "--normal", "1", "--defect", "1",
+                   "--patch-size", "8", "--out", str(out)])
+        assert rc == 2
+        assert (out / "stale.txt").exists()
+        cfg.write_text("force = yes\n")
+        rc = main(["synth", "--config", str(cfg), "--normal", "1", "--defect", "1",
+                   "--patch-size", "8", "--out", str(out)])
+        assert rc == 0
+        assert not (out / "stale.txt").exists()
+        assert "force = True" in (out / "effective-config.txt").read_text()
+
 
 class TestSeedResolution:
     def test_default_seed_is_zero(self, tmp_path, monkeypatch):
@@ -172,6 +203,17 @@ class TestSeedResolution:
                    "--patch-size", "8", "--seed", "3", "--out", str(out)])
         assert rc == 0
         assert "seed = 3" in (out / "effective-config.txt").read_text()
+
+    def test_config_seed_beats_env_and_flag_beats_both(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AIFT_SEED", "7")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 9\n")
+        for extra, expected in (([], "seed = 9"), (["--seed", "3"], "seed = 3")):
+            out = tmp_path / f"out{len(extra)}"
+            rc = main(["synth", "--config", str(cfg), "--normal", "1", "--defect", "1",
+                       "--patch-size", "8", *extra, "--out", str(out)])
+            assert rc == 0
+            assert expected in (out / "effective-config.txt").read_text().splitlines()
 
     def test_non_integer_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AIFT_SEED", "lots")

@@ -127,6 +127,12 @@ class TestLoadImage:
         with pytest.raises(InputError):
             load_image(path)
 
+    def test_ppm_is_an_unsupported_format(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
+        with pytest.raises(InputError, match="unsupported image format '.ppm'"):
+            load_image(path)
+
     def test_png_grayscale(self, tmp_path):
         Image = pytest.importorskip("PIL.Image")
         arr = np.arange(16, dtype=np.uint8).reshape(4, 4) * 17

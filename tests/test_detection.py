@@ -78,21 +78,10 @@ def params16():
 class TestDetect:
     def test_result_fields(self, params16):
         img = RNG.uniform(0, 1, (16, 16))
-        res = detect(params16, img, threshold=0.05)
+        res = detect(params16, img)
         assert res.score_map.shape == (16, 16)
         assert res.image_score == pytest.approx(res.score_map.sum())
         assert res.image_score >= 0.0
-        np.testing.assert_array_equal(res.mask, res.score_map >= 0.05)
-
-    def test_infinite_threshold_empty_mask(self, params16):
-        img = RNG.uniform(0, 1, (16, 16))
-        res = detect(params16, img, threshold=np.inf)
-        assert not res.mask.any()
-
-    def test_zero_threshold_marks_everything(self, params16):
-        img = RNG.uniform(0, 1, (16, 16))
-        res = detect(params16, img, threshold=0.0)
-        assert res.mask.all()  # scores are >= 0 everywhere
 
     def test_modes_differ_but_both_work(self, params16):
         img = RNG.uniform(0, 1, (16, 16))
