@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .autodiff import (Tensor, add_channel_bias, conv2d, conv_transpose2d,
                        dense, no_grad)
 from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
-                   ingest_external, load_image, normalize_patch, read_pgm,
-                   synth_corpus, write_pgm)
+                   load_image, normalize_patch, read_pgm, synth_corpus,
+                   write_pgm)
 from .detection import (DetectionResult, detect, detect_full_image,
                         jeffrey_divergence)
 from .errors import (AiftError, ConfigurationError, ContractError,

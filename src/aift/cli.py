@@ -4,7 +4,8 @@ Every command takes an optional ``--config`` file of ``key = value`` lines
 (``#`` starts a comment).  argparse is the one parser and validator: a
 config file is read as ``--key=value`` flags placed before the command
 line's own, so explicit flags override file values, and unknown keys are
-rejected like unknown flags.  The seed resolution order is flag, config
+rejected like unknown flags.  Only ``synth`` and ``train`` draw random
+numbers, so only they take ``--seed``; its resolution order is flag, config
 file, the ``AIFT_SEED`` environment variable, then 0.
 
 Every command writes an ``effective-config.txt`` echo (with a tool-version
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .autodiff import Tensor, no_grad
-from .data import (DatasetManifest, SynthConfig, extract_patches, load_image,
-                   normalize_patch, read_pgm, synth_corpus, write_pgm)
+from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
+                   load_image, normalize_patch, read_pgm, synth_corpus, write_pgm)
 from .detection import DETECT_MODES, detect_full_image
 from .errors import (AiftError, ConfigurationError, InputError, IntegrityError)
 from .metrics import evaluate
@@ -62,7 +63,14 @@ def _ft(x: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises every parse error as a ConfigurationError; subparsers inherit it."""
+    """Raises every parse error as a ConfigurationError; subparsers inherit it.
+
+    Flags must be spelled out, as config keys must: an abbreviation such as
+    ``--seed`` would otherwise pass as ablation's ``--seeds``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ConfigurationError(message)
@@ -79,11 +87,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _add_seed(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=_seed, default=os.environ.get("AIFT_SEED", "0"),
+                     help="RNG seed (default: $AIFT_SEED, else 0)")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE",
                      help="key = value defaults file; flags override it")
-    sub.add_argument("--seed", type=_seed, default=os.environ.get("AIFT_SEED", "0"),
-                     help="RNG seed (default: $AIFT_SEED, else 0)")
     sub.add_argument("--out", required=True, help="output directory")
 
 
@@ -120,6 +131,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     s.add_argument("--patch-size", type=int, default=32)
     s.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
+    _add_seed(s)
     _add_common(s)
 
     s = subs["train"] = subparsers.add_parser("train", help="train a model on a corpus")
@@ -128,6 +140,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_train_knobs(s)
     s.add_argument("--ckpt-every", type=int, default=0,
                    help="write a checkpoint every K epochs (0: final only)")
+    _add_seed(s)
     _add_common(s)
 
     s = subs["transform"] = subparsers.add_parser(
@@ -273,12 +286,6 @@ def _infer_patch_size(image: np.ndarray, flag_value: int) -> int:
         f"cannot infer a patch size from a {h}x{w} image; pass --patch-size")
 
 
-def _normalized_patches(image: np.ndarray, patch: int) -> list[np.ndarray]:
-    if image.shape == (patch, patch):
-        return [normalize_patch(image)]
-    return [normalize_patch(p) for _, _, p in extract_patches(image, patch, patch)]
-
-
 def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
     entries = manifest.train_entries()
     if not entries:
@@ -287,10 +294,18 @@ def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
     patch = _infer_patch_size(first, patch_flag)
     patches: list[np.ndarray] = []
     for entry in entries:
-        patches.extend(_normalized_patches(load_image(manifest.image_path(entry)), patch))
+        image = load_image(manifest.image_path(entry))
+        patches.extend(normalize_patch(p) for _, _, p in extract_patches(image, patch))
     images = np.stack(patches)[:, None, :, :]
     freqs = np.stack([spectrum_image(p) for p in patches])[:, None, :, :]
     return images, freqs, patch
+
+
+def _test_entries(manifest: DatasetManifest) -> list[ManifestEntry]:
+    entries = manifest.test_entries()
+    if not entries:
+        raise InputError(f"manifest under {manifest.root} has no test entries")
+    return entries
 
 
 def _train_config(args: argparse.Namespace, loss_mode: str, seed: int) -> TrainConfig:
@@ -303,9 +318,19 @@ def _train_config(args: argparse.Namespace, loss_mode: str, seed: int) -> TrainC
 
 
 def _map_stem(used: set[str], rel_path: str) -> str:
+    """Return a map file stem not yet in ``used`` and add it there.
+
+    The image's own stem comes first, since ``eval`` pairs maps with masks
+    by stem; a taken stem falls back to the flattened path, numbered until
+    it is free.
+    """
     stem = Path(rel_path).stem
     if stem in used:
-        stem = rel_path.replace("/", "_").rsplit(".", 1)[0]
+        base = stem = rel_path.replace("/", "_").rsplit(".", 1)[0]
+        n = 1
+        while stem in used:
+            n += 1
+            stem = f"{base}_{n}"
     used.add(stem)
     return stem
 
@@ -397,10 +422,7 @@ def cmd_detect(args: argparse.Namespace) -> None:
             f"got {args.stride}")
     if args.data:
         manifest = DatasetManifest.load(args.data)
-        entries = manifest.test_entries()
-        if not entries:
-            raise InputError(f"manifest under {manifest.root} has no test entries")
-        sources = [(e.path, e.label, manifest.image_path(e)) for e in entries]
+        sources = [(e.path, e.label, manifest.image_path(e)) for e in _test_entries(manifest)]
     else:
         sources = [(Path(args.image).name, "", args.image)]
 
@@ -497,9 +519,11 @@ def cmd_ablation(args: argparse.Namespace) -> None:
 
     manifest = DatasetManifest.load(args.data)
     images, freqs, _ = _load_training_arrays(manifest, args.patch_size)
-    entries = manifest.test_entries()
-    if not entries:
-        raise InputError(f"manifest under {manifest.root} has no test entries")
+    test_split = []
+    for entry in _test_entries(manifest):
+        mask_path = manifest.mask_path(entry)
+        test_split.append((load_image(manifest.image_path(entry)), entry.label == "defect",
+                           None if mask_path is None else read_pgm(mask_path) > 0.5))
 
     with _RunDir(args) as run:
         rows = ["mode,seed,AUROC,AIU,ODS,OIS"]
@@ -509,15 +533,13 @@ def cmd_ablation(args: argparse.Namespace) -> None:
                 cfg = _train_config(args, mode, seed)
                 params, _ = train((images, freqs), cfg)
                 scores, labels, seg_maps, seg_gts = [], [], [], []
-                for entry in entries:
-                    image = load_image(manifest.image_path(entry))
+                for image, is_defect, gt in test_split:
                     result = detect_full_image(params, image, mode="fourier")
                     scores.append(result.image_score)
-                    labels.append(entry.label == "defect")
-                    mask_path = manifest.mask_path(entry)
-                    if mask_path is not None:
+                    labels.append(is_defect)
+                    if gt is not None:
                         seg_maps.append(result.score_map)
-                        seg_gts.append(read_pgm(mask_path) > 0.5)
+                        seg_gts.append(gt)
                 report = evaluate(seg_maps or None, seg_gts or None,
                                   np.array(scores), np.array(labels))
                 cells = [report.auroc, report.aiu, report.ods, report.ois]

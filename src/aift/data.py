@@ -5,9 +5,16 @@ canonical format and is parsed and written here without third-party help.
 PNG input is supported when Pillow is installed; color images collapse to
 luminance with the 0.299/0.587/0.114 weights.
 
-The synthetic corpus generator produces band-limited pavement-like textures
-and, for defect samples, dark polyline cracks with ground-truth masks.  It
-exists so the whole pipeline can be exercised end to end at desk scale.
+A corpus is a directory with a ``manifest.csv`` at its root whose rows are
+``path,mask,label,split``: image and mask paths relative to the root (mask
+empty when there is none), label ``normal`` or ``defect``, split ``train``
+or ``test``, with only normal images in the train split.  The synthetic
+corpus generator writes one; any other data enters through a hand-written
+manifest of the same form.
+
+The generator produces band-limited pavement-like textures and, for defect
+samples, dark polyline cracks with ground-truth masks.  It exists so the
+whole pipeline can be exercised end to end at desk scale.
 """
 
 from __future__ import annotations
@@ -163,9 +170,9 @@ def extract_patches(image: np.ndarray, patch_size: int,
                     stride: int | None = None) -> list[tuple[int, int, np.ndarray]]:
     """Cut an image into (row, col, patch) tiles on a row-major grid.
 
-    The grid walks in ``stride`` steps; when the extent is not covered
-    exactly, one final edge-aligned row/column of patches is added so every
-    pixel belongs to at least one patch.
+    The grid walks in ``stride`` steps, at most one patch wide; when the
+    extent is not covered exactly, one final edge-aligned row/column of
+    patches is added so every pixel belongs to at least one patch.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -175,8 +182,8 @@ def extract_patches(image: np.ndarray, patch_size: int,
     h, w = image.shape
     if patch_size < 1 or h < patch_size or w < patch_size:
         raise InputError(f"patch size {patch_size} does not fit image {image.shape}")
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
+    if not 1 <= stride <= patch_size:
+        raise InputError(f"stride must lie in [1, {patch_size}], got {stride}")
     out = []
     for y in _grid_starts(h, patch_size, stride):
         for x in _grid_starts(w, patch_size, stride):
@@ -222,8 +229,8 @@ class DatasetManifest:
     def mask_path(self, entry: ManifestEntry) -> Path | None:
         return self.root / entry.mask if entry.mask else None
 
-    def save(self, path=None) -> Path:
-        path = Path(path) if path is not None else self.root / "manifest.csv"
+    def save(self) -> Path:
+        path = self.root / "manifest.csv"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["path", "mask", "label", "split"])
@@ -380,35 +387,3 @@ def synth_corpus(config: SynthConfig, out_dir) -> DatasetManifest:
     manifest = DatasetManifest(root, entries)
     manifest.save()
     return manifest
-
-
-def ingest_external(root) -> DatasetManifest:
-    """Build a manifest for a user-provided directory tree.
-
-    Expected layout: ``train/`` with normal images, ``test/normal/`` and
-    ``test/defect/`` images, optional ``test/masks/`` with a same-named mask
-    per defect image.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise InputError(f"dataset root {root} is not a directory")
-    exts = (".pgm", ".png")
-
-    def _scan(rel_dir: str) -> list[Path]:
-        base = root / rel_dir
-        if not base.is_dir():
-            return []
-        return sorted(p for p in base.iterdir() if p.suffix.lower() in exts)
-
-    entries: list[ManifestEntry] = []
-    for p in _scan("train"):
-        entries.append(ManifestEntry(str(p.relative_to(root)), "", "normal", "train"))
-    for p in _scan("test/normal"):
-        entries.append(ManifestEntry(str(p.relative_to(root)), "", "normal", "test"))
-    for p in _scan("test/defect"):
-        mask = root / "test" / "masks" / p.name
-        mask_rel = str(mask.relative_to(root)) if mask.is_file() else ""
-        entries.append(ManifestEntry(str(p.relative_to(root)), mask_rel, "defect", "test"))
-    if not any(e.split == "train" for e in entries):
-        raise InputError(f"no training images found under {root}/train")
-    return DatasetManifest(root, entries)

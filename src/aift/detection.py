@@ -29,11 +29,10 @@ DETECT_MODES = ("fourier", "roundtrip")
 JEFFREY_EPS = 1e-7
 
 
-def jeffrey_divergence(x: np.ndarray, y: np.ndarray,
-                       eps: float = JEFFREY_EPS) -> tuple[float, np.ndarray]:
+def jeffrey_divergence(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Symmetric per-element divergence between two same-shaped arrays.
 
-    Both inputs are clamped to [eps, 1]; with m the elementwise midpoint the
+    Both inputs are clamped to [JEFFREY_EPS, 1]; with m the elementwise midpoint the
     per-element value is x*log(x/m) + y*log(y/m).  Returns the summed total
     and the per-element map.  The value is non-negative, exactly symmetric
     in its arguments, and zero iff the clamped inputs are equal.
@@ -44,10 +43,8 @@ def jeffrey_divergence(x: np.ndarray, y: np.ndarray,
         raise DimensionError(f"jeffrey_divergence: shape mismatch {x.shape} vs {y.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("jeffrey_divergence: non-finite input")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    xc = np.clip(x, eps, 1.0)
-    yc = np.clip(y, eps, 1.0)
+    xc = np.clip(x, JEFFREY_EPS, 1.0)
+    yc = np.clip(y, JEFFREY_EPS, 1.0)
     mid = 0.5 * (xc + yc)
     per_element = xc * np.log(xc / mid) + yc * np.log(yc / mid)
     return float(per_element.sum()), per_element

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, DimensionError, IntegrityError
+from .errors import ConfigurationError, DimensionError, InputError, IntegrityError
 
 PATCH_SIZES = (16, 32, 64)
 N_STAGES = 4
@@ -222,11 +222,15 @@ class _Reader:
 def load_checkpoint(path) -> AiftParams:
     """Read a checkpoint back into trainable float32 tensors, bit for bit.
 
-    Raises IntegrityError on a bad magic, unknown version, trailing bytes or
-    a tensor listing that does not match the declared architecture.
+    Raises InputError when the file cannot be read, and IntegrityError on a
+    bad magic, unknown version, trailing bytes or a tensor listing that does
+    not match the declared architecture.
     """
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            reader = _Reader(fh.read())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if reader.take(4) != _MAGIC:
         raise IntegrityError(f"not a model checkpoint: {path}")
     (version,) = reader.unpack("<H")

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from aift import __version__
-from aift.cli import _RunDir, main
+from aift.cli import _RunDir, _map_stem, main
 from aift.errors import IntegrityError
-from aift.data import DatasetManifest, read_pgm, write_pgm, normalize_patch
+from aift.data import (DatasetManifest, ManifestEntry, read_pgm, write_pgm,
+                       normalize_patch)
 from aift.model import init_params, save_checkpoint
 from aift.spectral import spectrum_image
 
@@ -153,8 +154,9 @@ class TestArgumentHandling:
         ["synth", "--normal", "x", "--defect", "1", "--out", "unused"],
         ["synth", "--normal", "1", "--defect", "1", "--bogus", "--out", "unused"],
         ["train", "--data", "unused", "--loss", "nope", "--out", "unused"],
+        ["eval", "--score", "absent.csv", "--out", "unused"],
         [],
-    ], ids=["bad-int", "unknown-flag", "bad-choice", "no-command"])
+    ], ids=["bad-int", "unknown-flag", "bad-choice", "abbreviated-flag", "no-command"])
     def test_flag_errors_share_the_config_error_path(self, argv, capsys):
         assert main(argv) == 2  # returns rather than raising SystemExit
         err = capsys.readouterr().err
@@ -225,6 +227,22 @@ class TestSeedResolution:
         rc = main(["synth", "--normal", "1", "--defect", "1", "--seed", "-4",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["transform", "detect", "eval", "ablation"])
+    def test_no_seed_where_nothing_is_random(self, command, corpus, ckpt, tmp_path):
+        argv = {"transform": ["--ckpt", str(ckpt), "--image", str(patch_image(tmp_path))],
+                "detect": ["--ckpt", str(ckpt), "--data", str(corpus)],
+                "eval": ["--scores", str(tmp_path / "scores.csv")],
+                "ablation": ["--data", str(corpus), "--seeds", "0", "--loss-modes", "re",
+                             "--epochs", "1", "--batch", "4", "--base-channels", "4"],
+                }[command]
+        (tmp_path / "scores.csv").write_text("path,label,image_score\na,defect,1.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        for extra in (["--seed", "1"], ["--config", str(cfg)]):
+            out = tmp_path / "out"
+            assert main([command, *argv, *extra, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestRunDirProtocol:
@@ -429,6 +447,16 @@ class TestTransform:
                    "--out", str(tmp_path / "run")])
         assert rc == 4
 
+    @pytest.mark.parametrize("command", ["transform", "detect"])
+    def test_missing_checkpoint_is_input_error(self, command, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main([command, "--ckpt", str(tmp_path / "missing.ckpt"),
+                   "--image", str(patch_image(tmp_path)), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aift: input error: cannot read")
+        assert not out.exists()
+
 
 class TestDetect:
     def test_scores_and_maps_for_corpus(self, corpus, detect_run):
@@ -507,6 +535,26 @@ class TestDetect:
                    "--image", str(tmp_path / "absent.pgm"),
                    "--out", str(tmp_path / "run")])
         assert rc == 3
+
+    def test_map_stems_are_never_reused(self):
+        for paths, expected in (
+                (["x/b.pgm", "b.pgm"], ["b", "b_2"]),
+                (["b.pgm", "x/b.pgm", "x_b.pgm", "y/x_b.pgm"],
+                 ["b", "x_b", "x_b_2", "y_x_b"]),
+                (["normal/a.pgm", "defect/c.pgm"], ["a", "c"])):
+            used: set[str] = set()
+            assert [_map_stem(used, p) for p in paths] == expected
+
+    @pytest.mark.parametrize("command", ["detect", "ablation"])
+    def test_no_test_entries_is_input_error(self, command, ckpt, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_pgm(data / "a.pgm", np.zeros((16, 16)))
+        DatasetManifest(data, [ManifestEntry("a.pgm", "", "normal", "train")]).save()
+        source = ["--ckpt", str(ckpt)] if command == "detect" else ["--seeds", "0"]
+        out = tmp_path / "run"
+        assert main([command, *source, "--data", str(data), "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestEval:

@@ -8,7 +8,6 @@ from aift.data import (
     ManifestEntry,
     SynthConfig,
     extract_patches,
-    ingest_external,
     load_image,
     normalize_patch,
     read_pgm,
@@ -215,8 +214,10 @@ class TestExtractPatches:
             extract_patches(np.zeros((8, 8)), 16)
 
     def test_bad_stride_rejected(self):
-        with pytest.raises(InputError):
-            extract_patches(np.zeros((16, 16)), 8, stride=0)
+        # stride 5 over 4 px patches would leave 19 of the 100 pixels uncovered
+        for size, patch, stride in ((16, 8, 0), (10, 4, 5)):
+            with pytest.raises(InputError):
+                extract_patches(np.zeros((size, size)), patch, stride=stride)
 
     def test_non_2d_rejected(self):
         with pytest.raises(InputError):
@@ -368,34 +369,3 @@ class TestSynthCorpus:
         m2 = self.make(tmp_path, "two", seed=22)
         rel = m1.train_entries()[0].path
         assert (m1.root / rel).read_bytes() != (m2.root / rel).read_bytes()
-
-
-class TestIngestExternal:
-    def build_tree(self, root):
-        img = np.linspace(0, 1, 64).reshape(8, 8)
-        for sub in ("train", "test/normal", "test/defect", "test/masks"):
-            (root / sub).mkdir(parents=True)
-        write_pgm(root / "train" / "n0.pgm", img)
-        write_pgm(root / "train" / "n1.pgm", img)
-        write_pgm(root / "test" / "normal" / "t0.pgm", img)
-        write_pgm(root / "test" / "defect" / "d0.pgm", img)
-        write_pgm(root / "test" / "defect" / "d1.pgm", img)
-        write_pgm(root / "test" / "masks" / "d0.pgm", np.zeros((8, 8)))
-
-    def test_scan_builds_expected_entries(self, tmp_path):
-        self.build_tree(tmp_path)
-        manifest = ingest_external(tmp_path)
-        assert [e.path for e in manifest.train_entries()] == ["train/n0.pgm", "train/n1.pgm"]
-        tests = {e.path: e for e in manifest.test_entries()}
-        assert tests["test/normal/t0.pgm"].label == "normal"
-        assert tests["test/defect/d0.pgm"].mask == "test/masks/d0.pgm"
-        assert tests["test/defect/d1.pgm"].mask == ""
-
-    def test_missing_train_dir_rejected(self, tmp_path):
-        (tmp_path / "test" / "normal").mkdir(parents=True)
-        with pytest.raises(InputError):
-            ingest_external(tmp_path)
-
-    def test_non_directory_rejected(self, tmp_path):
-        with pytest.raises(InputError):
-            ingest_external(tmp_path / "absent")
