@@ -338,26 +338,22 @@ def flatten(a: Tensor) -> Tensor:
 # -- affine layers ------------------------------------------------------------
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fully connected layer: x [N, D] @ w [D, M] (+ bias [M])."""
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Fully connected layer: x [N, D] @ w [D, M] + bias [M]."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise DimensionError(f"dense expects 2-D operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise DimensionError(f"dense: inner axes differ, {x.shape[1]} vs {w.shape[0]}")
-    out = x.data @ w.data
-    if b is not None:
-        if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
-            raise DimensionError(f"dense bias must have shape ({w.shape[1]},), got {b.shape}")
-        out = out + b.data
+    if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
+        raise DimensionError(f"dense bias must have shape ({w.shape[1]},), got {b.shape}")
+    out = x.data @ w.data + b.data
 
     def backward(g):
         _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
-        if b is not None:
-            _accumulate(b, g.sum(axis=0))
+        _accumulate(b, g.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _record(out, parents, backward)
+    return _record(out, (x, w, b), backward)
 
 
 def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:

@@ -8,8 +8,9 @@ rejected like unknown flags.  Only ``synth`` and ``train`` draw random
 numbers, so only they take ``--seed``; its resolution order is flag, config
 file, the ``AIFT_SEED`` environment variable, then 0.
 
-Every command writes an ``effective-config.txt`` echo (with a tool-version
-line) into its output directory and refuses to share that directory with a
+Every command reads and checks all of its inputs and settings first, and
+only then creates its output directory, writes an ``effective-config.txt``
+echo (with a tool-version line) into it and refuses to share it with a
 concurrently running command by holding an ``flock`` on its ``.aift-lock``
 file; the kernel releases it when the run ends, however it ends.  All
 numerical outputs are deterministic for a fixed seed: floats are serialized
@@ -17,16 +18,19 @@ with ``repr`` so reruns produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 configuration error (every settings error, from a
 flag or a config file, prints one ``aift: configuration error:`` line), 3
-input error, 4 integrity error, 1 any other failure.
+input error, 4 integrity error, 1 any other failure.  A failure with code
+2, 3 or 4 creates no output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import fcntl
+import math
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -76,19 +80,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer (default: $AIFT_SEED, else 0), got {text!r}")
-    return seed
+def _non_negative(kind):
+    """An argparse ``type=`` that accepts finite ``kind`` values >= 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = -1
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} >= 0, got {text!r}")
+        return value
+    return parse
 
 
 def _add_seed(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_seed, default=os.environ.get("AIFT_SEED", "0"),
+    sub.add_argument("--seed", type=_non_negative(int),
+                     default=os.environ.get("AIFT_SEED", "0"),
                      help="RNG seed (default: $AIFT_SEED, else 0)")
 
 
@@ -165,7 +173,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     s.add_argument("--scores", help="scores.csv from the detect command (for AUROC)")
     s.add_argument("--maps", help="directory of score-map CSVs (for AIU/ODS/OIS)")
     s.add_argument("--gt", help="directory of ground-truth mask PGMs")
-    s.add_argument("--tolerance", type=float, default=0.0,
+    s.add_argument("--tolerance", type=_non_negative(float), default=0.0,
                    help="pixel distance tolerance for F-measure matching")
     _add_common(s)
 
@@ -230,44 +238,34 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 # -- output directory protocol ---------------------------------------------------
 
 
-class _RunDir:
-    """Creates the output directory, takes its lock and writes the config echo.
+@contextmanager
+def _run_dir(args: argparse.Namespace):
+    """Create the output directory, hold its lock and write the config echo.
 
-    The lock is an ``flock`` on the ``.aift-lock`` file, held for the whole
-    run and released when its descriptor is closed, by ``__exit__`` or by
-    the kernel when the process dies.  The file stays empty and is never
-    deleted: a left-over file is not a lock, and deleting it would let a
-    run still waiting on the old inode lock it while a new run locks a
-    fresh one.
+    Commands enter it only once every input and setting has been read and
+    checked.  The lock is an ``flock`` on the ``.aift-lock`` file, held for
+    the whole run and released when its descriptor is closed, on leaving
+    the block or by the kernel when the process dies.  The file stays empty
+    and is never deleted: a left-over file is not a lock, and deleting it
+    would let a run still waiting on the old inode lock it while a new run
+    locks a fresh one.
     """
-
-    def __init__(self, args: argparse.Namespace):
-        self.path = Path(args.out)
-        self.args = args
-
-    def __enter__(self) -> Path:
-        lines = [f"# aift {__version__}", f"command = {self.args.command}"]
-        for key in sorted(vars(self.args)):
-            if key in ("command", "config"):
-                continue
-            lines.append(f"{key.replace('_', '-')} = {getattr(self.args, key)}")
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.fd = os.open(self.path / _LOCK_NAME, os.O_RDWR | os.O_CREAT)
+    path = Path(args.out)
+    lines = [f"# aift {__version__}", f"command = {args.command}"]
+    for key in sorted(vars(args)):
+        if key not in ("command", "config"):
+            lines.append(f"{key.replace('_', '-')} = {getattr(args, key)}")
+    path.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path / _LOCK_NAME, os.O_RDWR | os.O_CREAT)
+    try:
         try:
-            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            os.close(self.fd)
-            raise IntegrityError(
-                f"output directory {self.path} is in use by another run") from None
-        try:
-            (self.path / "effective-config.txt").write_text("\n".join(lines) + "\n")
-        except BaseException:
-            os.close(self.fd)  # __exit__ does not run when __enter__ raises
-            raise
-        return self.path
-
-    def __exit__(self, *exc) -> None:
-        os.close(self.fd)  # releases the flock
+            raise IntegrityError(f"output directory {path} is in use by another run") from None
+        (path / "effective-config.txt").write_text("\n".join(lines) + "\n")
+        yield path
+    finally:
+        os.close(fd)  # releases the flock
 
 
 # -- shared data plumbing ---------------------------------------------------------
@@ -301,11 +299,19 @@ def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
     return images, freqs, patch
 
 
-def _test_entries(manifest: DatasetManifest) -> list[ManifestEntry]:
+def _fits_patch(name: str, image: np.ndarray, patch: int) -> np.ndarray:
+    if min(image.shape) < patch:
+        raise IntegrityError(
+            f"{name}: image shape {image.shape} is smaller than the {patch}px patch size")
+    return image
+
+
+def _test_images(manifest: DatasetManifest, patch: int) -> list[tuple[ManifestEntry, np.ndarray]]:
+    """Load the whole test split into memory as (entry, image) pairs."""
     entries = manifest.test_entries()
     if not entries:
         raise InputError(f"manifest under {manifest.root} has no test entries")
-    return entries
+    return [(e, _fits_patch(e.path, load_image(manifest.image_path(e)), patch)) for e in entries]
 
 
 def _train_config(args: argparse.Namespace, loss_mode: str, seed: int) -> TrainConfig:
@@ -335,16 +341,13 @@ def _map_stem(used: set[str], rel_path: str) -> str:
     return stem
 
 
-def _write_map_csv(path: Path, score_map: np.ndarray) -> None:
-    lines = [",".join(_ft(v) for v in row) for row in score_map]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _read_map_csv(path: Path) -> np.ndarray:
     try:
         arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise InputError(f"malformed score map {path}: {exc}") from exc
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also false for NaN
+        raise InputError(f"malformed score map {path}: values must be finite and in [0, 1]")
     return arr
 
 
@@ -359,7 +362,7 @@ def cmd_synth(args: argparse.Namespace) -> None:
     cfg = SynthConfig(n_train=args.normal, n_test_normal=args.defect,
                       n_test_defect=args.defect, patch_size=args.patch_size,
                       seed=args.seed).validate()
-    with _RunDir(args) as run:
+    with _run_dir(args) as run:
         if args.force:  # only once the lock is ours, so a live run's files survive
             for old in run.iterdir():
                 if old.is_dir() and not old.is_symlink():
@@ -374,7 +377,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     manifest = DatasetManifest.load(args.data)
     images, freqs, patch = _load_training_arrays(manifest, args.patch_size)
     cfg = _train_config(args, args.loss, args.seed)
-    with _RunDir(args) as run:
+    with _run_dir(args) as run:
         every = args.ckpt_every
 
         def on_epoch(epoch, params, record):
@@ -403,7 +406,7 @@ def cmd_transform(args: argparse.Namespace) -> None:
         gen_image = generate(params, Tensor(x_freq[None, None]), F2I).data[0, 0]
     panels = [("x_image", x_image), ("x_frequency", x_freq),
               ("generated_frequency", gen_freq), ("generated_image", gen_image)]
-    with _RunDir(args) as run:
+    with _run_dir(args) as run:
         lines = ["panel,row,col,value"]
         for name, arr in panels:
             write_pgm(run / f"{name}.pgm", arr)
@@ -416,26 +419,28 @@ def cmd_transform(args: argparse.Namespace) -> None:
 
 def cmd_detect(args: argparse.Namespace) -> None:
     params = load_checkpoint(args.ckpt)
-    if not 0 <= args.stride <= params.patch_size:
+    p = params.patch_size
+    if not 0 <= args.stride <= p:
         raise ConfigurationError(
-            f"stride must lie in [0, {params.patch_size}] (0: the patch size), "
-            f"got {args.stride}")
+            f"stride must lie in [0, {p}] (0: the patch size), got {args.stride}")
     if args.data:
-        manifest = DatasetManifest.load(args.data)
-        sources = [(e.path, e.label, manifest.image_path(e)) for e in _test_entries(manifest)]
+        tests = [(e.path, e.label, image) for e, image
+                 in _test_images(DatasetManifest.load(args.data), p)]
     else:
-        sources = [(Path(args.image).name, "", args.image)]
+        name = Path(args.image).name
+        tests = [(name, "", _fits_patch(name, load_image(args.image), p))]
 
-    with _RunDir(args) as run:
+    with _run_dir(args) as run:
         maps_dir = run / "maps"
         maps_dir.mkdir(exist_ok=True)
         rows = ["path,label,image_score"]
         used: set[str] = set()
-        for name, label, path in sources:
-            result = detect_full_image(params, load_image(path),
-                                       stride=args.stride or None, mode=args.mode)
+        for name, label, image in tests:
+            result = detect_full_image(params, image, stride=args.stride or None,
+                                       mode=args.mode)
             stem = _map_stem(used, name)
-            _write_map_csv(maps_dir / f"{stem}.csv", result.score_map)
+            lines = [",".join(_ft(v) for v in row) for row in result.score_map]
+            (maps_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n")
             write_pgm(maps_dir / f"{stem}.pgm",
                       normalize_patch(result.score_map), maxval=65535)
             rows.append(f"{name},{label},{_ft(result.image_score)}")
@@ -485,6 +490,10 @@ def _load_maps_and_gt(maps_dir: str, gt_dir: str):
             f"(maps without masks: {missing}, masks without maps: {extra})")
     preds = [_read_map_csv(p) for p in map_files]
     gts = [read_pgm(gt_path / f"{p.stem}.pgm") > 0.5 for p in map_files]
+    for path, pred, gt in zip(map_files, preds, gts):
+        if gt.shape != pred.shape:
+            raise InputError(f"mask {path.stem}: shape {gt.shape} differs from its "
+                             f"score map's {pred.shape}")
     return preds, gts
 
 
@@ -499,7 +508,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if args.scores:
         scores, labels = _read_scores_csv(args.scores)
     report = evaluate(preds, gts, scores, labels, tolerance=args.tolerance)
-    with _RunDir(args) as run:
+    with _run_dir(args) as run:
         (run / "report.csv").write_text(report.to_csv())
         (run / "summary.csv").write_text(report.summary_csv())
         print(report.to_csv().splitlines()[-1].lstrip("# "))
@@ -517,36 +526,33 @@ def cmd_ablation(args: argparse.Namespace) -> None:
         raise ConfigurationError(
             f"--loss-modes must be a subset of {','.join(LOSS_MODES)}, got {args.loss_modes!r}")
 
+    configs = [_train_config(args, mode, seed) for seed in seeds for mode in modes]
     manifest = DatasetManifest.load(args.data)
-    images, freqs, _ = _load_training_arrays(manifest, args.patch_size)
-    test_split = []
-    for entry in _test_entries(manifest):
-        mask_path = manifest.mask_path(entry)
-        test_split.append((load_image(manifest.image_path(entry)), entry.label == "defect",
-                           None if mask_path is None else read_pgm(mask_path) > 0.5))
+    images, freqs, patch = _load_training_arrays(manifest, args.patch_size)
+    test_split = [(image, e.label == "defect",
+                   read_pgm(manifest.mask_path(e)) > 0.5 if e.mask else None)
+                  for e, image in _test_images(manifest, patch)]
 
-    with _RunDir(args) as run:
+    with _run_dir(args) as run:
         rows = ["mode,seed,AUROC,AIU,ODS,OIS"]
         per_mode: dict[str, list] = {m: [] for m in modes}
-        for seed in seeds:
-            for mode in modes:
-                cfg = _train_config(args, mode, seed)
-                params, _ = train((images, freqs), cfg)
-                scores, labels, seg_maps, seg_gts = [], [], [], []
-                for image, is_defect, gt in test_split:
-                    result = detect_full_image(params, image, mode="fourier")
-                    scores.append(result.image_score)
-                    labels.append(is_defect)
-                    if gt is not None:
-                        seg_maps.append(result.score_map)
-                        seg_gts.append(gt)
-                report = evaluate(seg_maps or None, seg_gts or None,
-                                  np.array(scores), np.array(labels))
-                cells = [report.auroc, report.aiu, report.ods, report.ois]
-                rows.append(f"{mode},{seed}," + ",".join(
-                    "" if c is None else _ft(c) for c in cells))
-                per_mode[mode].append(cells)
-                print(f"mode={mode} seed={seed} auroc={report.auroc:.4f}", flush=True)
+        for cfg in configs:
+            params, _ = train((images, freqs), cfg)
+            scores, labels, seg_maps, seg_gts = [], [], [], []
+            for image, is_defect, gt in test_split:
+                result = detect_full_image(params, image, mode="fourier")
+                scores.append(result.image_score)
+                labels.append(is_defect)
+                if gt is not None:
+                    seg_maps.append(result.score_map)
+                    seg_gts.append(gt)
+            report = evaluate(seg_maps or None, seg_gts or None,
+                              np.array(scores), np.array(labels))
+            cells = [report.auroc, report.aiu, report.ods, report.ois]
+            rows.append(f"{cfg.loss_mode},{cfg.seed}," + ",".join(
+                "" if c is None else _ft(c) for c in cells))
+            per_mode[cfg.loss_mode].append(cells)
+            print(f"mode={cfg.loss_mode} seed={cfg.seed} auroc={report.auroc:.4f}", flush=True)
         (run / "ablation.csv").write_text("\n".join(rows) + "\n")
 
         summary = ["mode,AUROC,AIU,ODS,OIS"]

@@ -230,7 +230,6 @@ def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
 
 
 def train(dataset: tuple[np.ndarray, np.ndarray], config: TrainConfig,
-          params: AiftParams | None = None,
           epoch_callback=None) -> tuple[AiftParams, TrainLog]:
     """Train on paired arrays (images [M, 1, P, P], freqs [M, 1, P, P]),
     cast once to float32, the model's dtype.
@@ -250,14 +249,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], config: TrainConfig,
     if m == 0:
         raise ConfigurationError("training set is empty")
     batch = min(config.batch_size, m)
-    patch = images.shape[2]
-
-    if params is None:
-        params = init_params(patch, config.seed, config.base_channels)
-    elif params.patch_size != patch:
-        raise DimensionError(
-            f"parameters built for {params.patch_size}px patches, data is {patch}px")
-
+    params = init_params(images.shape[2], config.seed, config.base_channels)
     g_opt = Adam(params.generator_tensors(), lr=config.lr,
                  beta1=config.beta1, beta2=config.beta2)
     d_opt = Adam(params.discriminator_tensors(), lr=config.lr,

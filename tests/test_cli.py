@@ -7,12 +7,14 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aift
 from aift import __version__
-from aift.cli import _RunDir, _map_stem, main
+from aift.cli import _run_dir, _map_stem, main
 from aift.errors import IntegrityError
 from aift.data import (DatasetManifest, ManifestEntry, read_pgm, write_pgm,
                        normalize_patch)
@@ -50,6 +52,27 @@ def patch_image(tmp_path, size=16, seed=2):
     path = tmp_path / "patch.pgm"
     write_pgm(path, rng.uniform(0, 1, (size, size)))
     return path
+
+
+def small_corpus(tmp_path, test_size=16, missing=False):
+    """A corpus with one 16 px training image and one test image of ``test_size`` px."""
+    data = tmp_path / "data"
+    data.mkdir()
+    write_pgm(data / "a.pgm", np.random.default_rng(1).uniform(0, 1, (16, 16)))
+    if not missing:
+        write_pgm(data / "t.pgm", np.random.default_rng(2).uniform(0, 1, (test_size,) * 2))
+    DatasetManifest(data, [ManifestEntry("a.pgm", "", "normal", "train"),
+                           ManifestEntry("t.pgm", "", "normal", "test")]).save()
+    return data
+
+
+def assert_failed_without_output(rc, code, kind, capsys, out, *words):
+    """``rc`` is ``code``, stderr is one ``aift: <kind>`` line, and ``out`` was never made."""
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"aift: {kind}"), err
+    assert all(word in err[0] for word in words), err
+    assert not out.exists()
 
 
 @contextmanager
@@ -301,9 +324,9 @@ class TestRunDirProtocol:
         args = argparse.Namespace(out=str(out), command="eval")
         (out / "effective-config.txt").mkdir(parents=True)  # not writable as a file
         with pytest.raises(OSError):
-            _RunDir(args).__enter__()
+            _run_dir(args).__enter__()
         (out / "effective-config.txt").rmdir()
-        with _RunDir(args):
+        with _run_dir(args):
             pass
 
     def test_concurrent_takeovers_leave_one_holder(self, tmp_path):
@@ -320,7 +343,7 @@ class TestRunDirProtocol:
         def contend():
             start.wait(timeout=10)
             try:
-                with _RunDir(argparse.Namespace(out=str(out), command="eval")):
+                with _run_dir(argparse.Namespace(out=str(out), command="eval")):
                     wins.append(1)
                     losers_done.wait(timeout=10)
             except IntegrityError:
@@ -536,6 +559,19 @@ class TestDetect:
                    "--out", str(tmp_path / "run")])
         assert rc == 3
 
+    def test_image_smaller_than_the_patch_is_integrity_error(self, ckpt, tmp_path, capsys):
+        out = tmp_path / "run"
+        for source in (["--image", str(patch_image(tmp_path, size=8))],
+                       ["--data", str(small_corpus(tmp_path, test_size=8))]):
+            rc = main(["detect", "--ckpt", str(ckpt), *source, "--out", str(out)])
+            assert_failed_without_output(rc, 4, "integrity error", capsys, out, "8")
+
+    def test_missing_manifest_image_leaves_no_directory(self, ckpt, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["detect", "--ckpt", str(ckpt),
+                   "--data", str(small_corpus(tmp_path, missing=True)), "--out", str(out)])
+        assert_failed_without_output(rc, 3, "input error", capsys, out, "t.pgm")
+
     def test_map_stems_are_never_reused(self):
         for paths, expected in (
                 (["x/b.pgm", "b.pgm"], ["b", "b_2"]),
@@ -605,6 +641,59 @@ class TestEval:
         rc = main(["eval", "--out", str(tmp_path / "run")])
         assert rc == 2
 
+    def test_mask_shape_mismatch_is_input_error(self, tmp_path, capsys):
+        maps, gt = tmp_path / "maps", tmp_path / "gt"
+        maps.mkdir()
+        gt.mkdir()
+        (maps / "crack7.csv").write_text("\n".join([",".join(["0.5"] * 16)] * 16) + "\n")
+        write_pgm(gt / "crack7.pgm", np.zeros((8, 8)))
+        out = tmp_path / "run"
+        rc = main(["eval", "--maps", str(maps), "--gt", str(gt), "--out", str(out)])
+        assert_failed_without_output(rc, 3, "input error", capsys, out, "crack7")
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.25", "nan", "inf"])
+    def test_map_value_outside_unit_interval_is_input_error(self, value, tmp_path, capsys):
+        maps, gt = tmp_path / "maps", tmp_path / "gt"
+        maps.mkdir()
+        gt.mkdir()
+        (maps / "m.csv").write_text(f"0.0,0.5\n{value},1.0\n")
+        write_pgm(gt / "m.pgm", np.zeros((2, 2)))
+        out = tmp_path / "run"
+        rc = main(["eval", "--maps", str(maps), "--gt", str(gt), "--out", str(out)])
+        assert_failed_without_output(rc, 3, "input error", capsys, out, "malformed score map")
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "two"])
+    def test_bad_tolerance_is_config_error(self, tolerance, detect_run, corpus,
+                                           tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["eval", "--maps", str(detect_run / "maps"), "--gt", str(corpus / "masks"),
+                   f"--tolerance={tolerance}", "--out", str(out)])
+        assert_failed_without_output(rc, 2, "configuration error", capsys, out, "--tolerance")
+
+    def test_tolerance_echo_is_a_float(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("path,label,image_score\na,defect,0.9\nb,normal,0.1\n")
+        out = tmp_path / "run"
+        assert main(["eval", "--scores", str(scores), "--tolerance", "2",
+                     "--out", str(out)]) == 0
+        assert "tolerance = 2.0" in (out / "effective-config.txt").read_text().splitlines()
+
+    def test_module_entry_point_exits_with_the_config_code(self, detect_run, corpus, tmp_path):
+        # the way the benchmark starts each stage: a fresh interpreter on aift.cli
+        env = dict(os.environ)
+        src = str(Path(aift.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "aift.cli", "eval", "--tolerance", "-1",
+             "--maps", str(detect_run / "maps"), "--gt", str(corpus / "masks"),
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("aift: configuration error: argument --tolerance")
+        assert not out.exists()
+
     def test_malformed_scores_is_input_error(self, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("wrong,header,here\n")
@@ -645,3 +734,27 @@ class TestAblation:
         rc = main(["ablation", "--data", str(corpus), "--seeds", "0",
                    "--loss-modes", "re,nope", "--out", str(tmp_path / "run")])
         assert rc == 2
+
+    @pytest.mark.parametrize("setting", [["--lr", "-1"], ["--epochs", "0"]])
+    def test_bad_train_setting_leaves_no_directory(self, setting, corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["ablation", "--data", str(corpus), "--seeds", "0", *setting,
+                   "--out", str(out)])
+        assert_failed_without_output(rc, 2, "configuration error", capsys, out)
+
+    def test_test_image_smaller_than_the_patch_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["ablation", "--data", str(small_corpus(tmp_path, test_size=8)),
+                   "--seeds", "0", "--out", str(out)])
+        assert_failed_without_output(rc, 4, "integrity error", capsys, out, "t.pgm")
+
+    def test_rows_keep_the_seed_order_and_duplicates(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["ablation", "--data", str(corpus), "--seeds", "1,0,1",
+                   "--loss-modes", "total,re", "--epochs", "1", "--batch", "4",
+                   "--critic-iters", "1", "--base-channels", "4", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        assert [tuple(r.split(",")[:2]) for r in rows] == [
+            ("total", "1"), ("re", "1"), ("total", "0"), ("re", "0"), ("total", "1"), ("re", "1")]
+        assert rows[0] == rows[4] and rows[1] == rows[5]
