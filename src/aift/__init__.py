@@ -22,7 +22,7 @@ from .metrics import (MetricsReport, THRESHOLDS, aiu, auroc, evaluate,
 from .model import (AiftParams, discriminate, generate, init_params,
                     load_checkpoint, save_checkpoint)
 from .optim import Adam, AdamState
-from .spectral import center_shift, dft2, spectrum_image
+from .spectral import dft2, spectrum_image
 from .training import (EpochRecord, StepLosses, TrainConfig, TrainLog,
                        atcl_loss, recon_loss, total_loss, train, train_step)
 

@@ -30,6 +30,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from . import __version__
 from .autodiff import Tensor, no_grad
 from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
                    load_image, normalize_patch, read_pgm, synth_corpus, write_pgm)
-from .detection import DETECT_MODES, detect_full_image
+from .detection import detect_full_image
 from .errors import (AiftError, ConfigurationError, InputError, IntegrityError)
 from .metrics import evaluate
 from .model import (F2I, I2F, PATCH_SIZES, generate, load_checkpoint,
@@ -163,7 +164,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     source = s.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="corpus directory (scores its test split)")
     source.add_argument("--image", help="single image file")
-    s.add_argument("--mode", choices=DETECT_MODES, default="fourier")
     s.add_argument("--stride", type=int, default=0,
                    help="patch stride for images larger than the patch size (0: patch size)")
     _add_common(s)
@@ -255,8 +255,11 @@ def _run_dir(args: argparse.Namespace):
     for key in sorted(vars(args)):
         if key not in ("command", "config"):
             lines.append(f"{key.replace('_', '-')} = {getattr(args, key)}")
-    path.mkdir(parents=True, exist_ok=True)
-    fd = os.open(path / _LOCK_NAME, os.O_RDWR | os.O_CREAT)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path / _LOCK_NAME, os.O_RDWR | os.O_CREAT)
+    except OSError as exc:
+        raise IntegrityError(f"cannot create output directory {path}: {exc.strerror}") from None
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -343,9 +346,14 @@ def _map_stem(used: set[str], rel_path: str) -> str:
 
 def _read_map_csv(path: Path) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is rejected below, in one line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise InputError(f"malformed score map {path}: {exc}") from exc
+    if arr.size == 0:
+        raise InputError(f"malformed score map {path}: no values")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also false for NaN
         raise InputError(f"malformed score map {path}: values must be finite and in [0, 1]")
     return arr
@@ -436,8 +444,7 @@ def cmd_detect(args: argparse.Namespace) -> None:
         rows = ["path,label,image_score"]
         used: set[str] = set()
         for name, label, image in tests:
-            result = detect_full_image(params, image, stride=args.stride or None,
-                                       mode=args.mode)
+            result = detect_full_image(params, image, stride=args.stride or None)
             stem = _map_stem(used, name)
             lines = [",".join(_ft(v) for v in row) for row in result.score_map]
             (maps_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n")
@@ -464,9 +471,14 @@ def _read_scores_csv(path: str):
             scores.append(float(parts[2]))
         except ValueError:
             raise InputError(f"{path}: non-numeric score in row {line!r}")
+        if parts[1] not in ("normal", "defect"):
+            raise InputError(f"{path}: label must be normal or defect in row {line!r}")
         labels.append(parts[1] == "defect")
     if not scores:
         raise InputError(f"{path}: no score rows")
+    if all(labels) or not any(labels):
+        missing = "normal" if all(labels) else "defect"
+        raise InputError(f"{path}: no {missing} rows; AUROC needs both classes")
     return np.array(scores), np.array(labels)
 
 
@@ -526,7 +538,8 @@ def cmd_ablation(args: argparse.Namespace) -> None:
         raise ConfigurationError(
             f"--loss-modes must be a subset of {','.join(LOSS_MODES)}, got {args.loss_modes!r}")
 
-    configs = [_train_config(args, mode, seed) for seed in seeds for mode in modes]
+    grid = [(mode, seed) for seed in seeds for mode in modes]
+    configs = {key: _train_config(args, *key) for key in grid}  # a repeated seed trains once
     manifest = DatasetManifest.load(args.data)
     images, freqs, patch = _load_training_arrays(manifest, args.patch_size)
     test_split = [(image, e.label == "defect",
@@ -534,13 +547,12 @@ def cmd_ablation(args: argparse.Namespace) -> None:
                   for e, image in _test_images(manifest, patch)]
 
     with _run_dir(args) as run:
-        rows = ["mode,seed,AUROC,AIU,ODS,OIS"]
-        per_mode: dict[str, list] = {m: [] for m in modes}
-        for cfg in configs:
+        cells_of: dict[tuple[str, int], list] = {}
+        for key, cfg in configs.items():
             params, _ = train((images, freqs), cfg)
             scores, labels, seg_maps, seg_gts = [], [], [], []
             for image, is_defect, gt in test_split:
-                result = detect_full_image(params, image, mode="fourier")
+                result = detect_full_image(params, image)
                 scores.append(result.image_score)
                 labels.append(is_defect)
                 if gt is not None:
@@ -548,16 +560,17 @@ def cmd_ablation(args: argparse.Namespace) -> None:
                     seg_gts.append(gt)
             report = evaluate(seg_maps or None, seg_gts or None,
                               np.array(scores), np.array(labels))
-            cells = [report.auroc, report.aiu, report.ods, report.ois]
-            rows.append(f"{cfg.loss_mode},{cfg.seed}," + ",".join(
-                "" if c is None else _ft(c) for c in cells))
-            per_mode[cfg.loss_mode].append(cells)
+            cells_of[key] = [report.auroc, report.aiu, report.ods, report.ois]
             print(f"mode={cfg.loss_mode} seed={cfg.seed} auroc={report.auroc:.4f}", flush=True)
+        rows = ["mode,seed,AUROC,AIU,ODS,OIS"]
+        for mode, seed in grid:
+            rows.append(f"{mode},{seed}," + ",".join(
+                "" if c is None else _ft(c) for c in cells_of[(mode, seed)]))
         (run / "ablation.csv").write_text("\n".join(rows) + "\n")
 
         summary = ["mode,AUROC,AIU,ODS,OIS"]
         for mode in modes:
-            stack = per_mode[mode]
+            stack = [cells_of[key] for key in grid if key[0] == mode]
             means = []
             for col in range(4):
                 values = [row[col] for row in stack if row[col] is not None]

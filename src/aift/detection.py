@@ -1,10 +1,11 @@
 """Defect scoring by frequency-domain reconstruction disagreement.
 
-A trained model regenerates a patch from its frequency-domain encoding;
-pixels the generator cannot reproduce (defects were never seen during
-training) disagree with the input.  The disagreement is measured per pixel
-with the symmetric Jeffrey divergence, giving a score map whose sum is the
-patch-level anomaly score.
+A trained model regenerates a patch from its frequency-domain encoding
+through the frequency-to-image generator, the one scoring path of the AIFT
+paper; pixels the generator cannot reproduce (defects were never seen
+during training) disagree with the input.  The disagreement is measured
+per pixel with the symmetric Jeffrey divergence, giving a score map whose
+sum is the patch-level anomaly score.
 
 Score maps are not rescaled.  Both inputs are clamped to [JEFFREY_EPS, 1],
 so every per-pixel value lies in [0, ln 2] ~ [0, 0.693], and averaging
@@ -22,10 +23,9 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .data import extract_patches, normalize_patch
 from .errors import ConfigurationError, DimensionError, DomainError
-from .model import AiftParams, F2I, I2F, generate
+from .model import AiftParams, F2I, generate
 from .spectral import spectrum_image
 
-DETECT_MODES = ("fourier", "roundtrip")
 JEFFREY_EPS = 1e-7
 
 
@@ -56,43 +56,28 @@ class DetectionResult:
     image_score: float
 
 
-def _regenerate(params: AiftParams, image: np.ndarray, mode: str) -> np.ndarray:
-    batch = Tensor(image[None, None, :, :])
-    with no_grad():
-        if mode == "fourier":
-            freq = Tensor(spectrum_image(image)[None, None, :, :])
-            out = generate(params, freq, F2I)
-        else:
-            out = generate(params, generate(params, batch, I2F), F2I)
-    return out.data[0, 0]
+def detect(params: AiftParams, image: np.ndarray) -> DetectionResult:
+    """Score one normalized patch against a trained model.
 
-
-def _check_patch(params: AiftParams, image: np.ndarray, who: str) -> np.ndarray:
+    The patch is regenerated from its frequency encoding (``spectrum_image``)
+    by the frequency-to-image generator, and the score map is the per-pixel
+    Jeffrey divergence between the patch and its regeneration.
+    """
     image = np.asarray(image, dtype=np.float64)
     p = params.patch_size
     if image.shape != (p, p):
-        raise DimensionError(f"{who} expects a ({p}, {p}) patch, got {image.shape}")
+        raise DimensionError(f"detect expects a ({p}, {p}) patch, got {image.shape}")
     if np.min(image) < 0.0 or np.max(image) > 1.0:
-        raise DomainError(f"{who}: image values must lie in [0, 1]; normalize first")
-    return image
-
-
-def detect(params: AiftParams, image: np.ndarray, mode: str = "fourier") -> DetectionResult:
-    """Score one normalized patch against a trained model.
-
-    ``fourier`` regenerates the patch from its actual frequency encoding;
-    ``roundtrip`` chains both generator directions instead.
-    """
-    if mode not in DETECT_MODES:
-        raise ConfigurationError(f"mode must be one of {DETECT_MODES}, got {mode!r}")
-    image = _check_patch(params, image, "detect")
-    regenerated = _regenerate(params, image, mode)
+        raise DomainError("detect: image values must lie in [0, 1]; normalize first")
+    with no_grad():
+        freq = Tensor(spectrum_image(image)[None, None, :, :])
+        regenerated = generate(params, freq, F2I).data[0, 0]
     total, score_map = jeffrey_divergence(image, regenerated)
     return DetectionResult(score_map=score_map, image_score=total)
 
 
-def detect_full_image(params: AiftParams, image: np.ndarray, stride: int | None = None,
-                      mode: str = "fourier") -> DetectionResult:
+def detect_full_image(params: AiftParams, image: np.ndarray,
+                      stride: int | None = None) -> DetectionResult:
     """Score an image of any size at least one patch wide.
 
     The image is covered by an edge-aligned patch grid; each patch is
@@ -117,7 +102,7 @@ def detect_full_image(params: AiftParams, image: np.ndarray, stride: int | None 
     acc = np.zeros(image.shape)
     cover = np.zeros(image.shape)
     for y, x, patch in extract_patches(image, p, stride):
-        result = detect(params, normalize_patch(patch), mode=mode)
+        result = detect(params, normalize_patch(patch))
         acc[y:y + p, x:x + p] += result.score_map
         cover[y:y + p, x:x + p] += 1.0
     score_map = acc / cover

@@ -80,14 +80,6 @@ def dft2(image: np.ndarray) -> np.ndarray:
     return _fft_pow2(_fft_pow2(image).T).T
 
 
-def center_shift(a: np.ndarray) -> np.ndarray:
-    """Move the zero-frequency bin to the array center (roll by half extents)."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise DimensionError(f"center_shift expects a 2-D array, got shape {a.shape}")
-    return np.roll(a, (a.shape[0] // 2, a.shape[1] // 2), axis=(0, 1))
-
-
 def spectrum_image(image: np.ndarray) -> np.ndarray:
     """Encode an [H, W] image in [0, 1] as a same-shaped frequency image.
 
@@ -101,11 +93,12 @@ def spectrum_image(image: np.ndarray) -> np.ndarray:
     if np.min(image) < 0.0 or np.max(image) > 1.0:
         raise DomainError("spectrum_image expects values in [0, 1]; normalize first")
     mag = np.log1p(np.abs(spectrum))
-    shifted = center_shift(mag)
+    h, w = mag.shape
+    shifted = np.roll(mag, (h // 2, w // 2), axis=(0, 1))
     lo = shifted.min()
     hi = shifted.max()
     if hi > lo:
         return (shifted - lo) / (hi - lo)
     flat = np.zeros_like(shifted)
-    flat[image.shape[0] // 2, image.shape[1] // 2] = 1.0
+    flat[h // 2, w // 2] = 1.0
     return flat

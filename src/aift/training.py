@@ -20,7 +20,7 @@ sets, so neither phase can leak updates into the other.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
-    config: dict
     records: list[EpochRecord] = field(default_factory=list)
 
     CSV_COLUMNS = ("epoch", "g_loss", "dI_loss", "dF_loss", "recon", "seconds")
@@ -256,7 +255,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], config: TrainConfig,
                  beta1=config.beta1, beta2=config.beta2)
     shuffle_rng = np.random.default_rng([config.seed, 0x5EED])
 
-    log = TrainLog(config=asdict(config))
+    log = TrainLog()
     steps_per_epoch = m // batch
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()

@@ -20,6 +20,7 @@ from aift.data import (DatasetManifest, ManifestEntry, read_pgm, write_pgm,
                        normalize_patch)
 from aift.model import init_params, save_checkpoint
 from aift.spectral import spectrum_image
+from aift.training import train
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,28 @@ def assert_failed_without_output(rc, code, kind, capsys, out, *words):
     assert not out.exists()
 
 
+def run_module(cwd, code, *argv):
+    """Run ``python -m aift.cli *argv`` from ``cwd`` in a fresh interpreter.
+
+    This is how the benchmark starts each stage, and unlike ``main`` it
+    shows what numpy prints to stderr too.  Checks that the run exits with
+    ``code``, prints exactly one stderr line and leaves the tree under
+    ``cwd``, where the caller points ``--out``, as it found it.  Returns the
+    stderr line.
+    """
+    env = dict(os.environ)
+    src = str(Path(aift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    before = sorted(cwd.rglob("*"))
+    proc = subprocess.run([sys.executable, "-m", "aift.cli", *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, err
+    assert sorted(cwd.rglob("*")) == before
+    return err[0]
+
+
 @contextmanager
 def held_lock(out):
     """Hold the run lock of directory ``out`` as another run would."""
@@ -122,6 +145,17 @@ class TestArgumentHandling:
                        "--out", str(tmp_path / "out")])
             assert rc == 2
             assert not (tmp_path / "out").exists()
+
+    def test_detect_takes_no_mode(self, corpus, ckpt, tmp_path):
+        # regeneration from the frequency encoding is the one scoring path
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = roundtrip\n")
+        argv = ["detect", "--ckpt", ckpt, "--data", corpus, "--out", tmp_path / "run"]
+        line = run_module(tmp_path, 2, *argv, "--mode", "fourier")
+        assert line.startswith("aift: configuration error: unrecognized arguments: --mode")
+        line = run_module(tmp_path, 2, *argv, "--config", cfg)
+        assert line.startswith("aift: configuration error:")
+        assert "unknown config key 'mode'" in line
 
     def test_config_value_type_checked(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -298,6 +332,16 @@ class TestRunDirProtocol:
             assert self._eval_into(tmp_path, out) == 4
         assert not (out / "report.csv").exists()
         assert not (out / "effective-config.txt").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_out_at_or_below_a_file_is_integrity_error(self, below, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("path,label,image_score\na,defect,0.9\nb,normal,0.1\n")
+        line = run_module(tmp_path, 4, "eval", "--scores", scores, "--out", taken / below)
+        assert line.startswith("aift: integrity error: cannot create output directory")
+        assert taken.read_text() == "x"
 
     def test_lock_of_a_dead_run_is_taken_over(self, tmp_path):
         out = tmp_path / "orphan"
@@ -679,20 +723,33 @@ class TestEval:
         assert "tolerance = 2.0" in (out / "effective-config.txt").read_text().splitlines()
 
     def test_module_entry_point_exits_with_the_config_code(self, detect_run, corpus, tmp_path):
-        # the way the benchmark starts each stage: a fresh interpreter on aift.cli
-        env = dict(os.environ)
-        src = str(Path(aift.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / "run"
-        proc = subprocess.run(
-            [sys.executable, "-m", "aift.cli", "eval", "--tolerance", "-1",
-             "--maps", str(detect_run / "maps"), "--gt", str(corpus / "masks"),
-             "--out", str(out)],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("aift: configuration error: argument --tolerance")
-        assert not out.exists()
+        line = run_module(tmp_path, 2, "eval", "--tolerance", "-1",
+                          "--maps", detect_run / "maps", "--gt", corpus / "masks",
+                          "--out", tmp_path / "run")
+        assert line.startswith("aift: configuration error: argument --tolerance")
+
+    def test_empty_score_map_is_one_input_error_line(self, tmp_path):
+        maps, gt = tmp_path / "maps", tmp_path / "gt"
+        maps.mkdir()
+        gt.mkdir()
+        (maps / "m.csv").write_text("")
+        write_pgm(gt / "m.pgm", np.zeros((2, 2)))
+        line = run_module(tmp_path, 3, "eval", "--maps", maps, "--gt", gt,
+                          "--out", tmp_path / "run")
+        assert line == f"aift: input error: malformed score map {maps / 'm.csv'}: no values"
+
+    @pytest.mark.parametrize("rows, words", [
+        ("a,defect,0.9\nb,defekt,0.1\n", ["label", "b,defekt,0.1"]),
+        ("a,normal,0.9\nb,normal,0.1\n", ["no defect rows"]),
+        ("a,defect,0.9\n", ["no normal rows"]),
+        ("patch.pgm,,0.9\n", ["label", "patch.pgm,,0.9"]),  # as detect --image writes it
+    ], ids=["unknown-label", "no-defect", "no-normal", "empty-label"])
+    def test_scores_labels_are_checked(self, rows, words, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("path,label,image_score\n" + rows)
+        line = run_module(tmp_path, 3, "eval", "--scores", scores, "--out", tmp_path / "run")
+        assert line.startswith("aift: input error:")
+        assert all(word in line for word in words), line
 
     def test_malformed_scores_is_input_error(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -748,7 +805,14 @@ class TestAblation:
                    "--seeds", "0", "--out", str(out)])
         assert_failed_without_output(rc, 4, "integrity error", capsys, out, "t.pgm")
 
-    def test_rows_keep_the_seed_order_and_duplicates(self, corpus, tmp_path):
+    def test_rows_keep_the_seed_order_and_duplicates(self, corpus, tmp_path, monkeypatch):
+        trained = []
+
+        def counting_train(dataset, cfg, **kwargs):
+            trained.append((cfg.loss_mode, cfg.seed))
+            return train(dataset, cfg, **kwargs)
+
+        monkeypatch.setattr("aift.cli.train", counting_train)
         out = tmp_path / "run"
         rc = main(["ablation", "--data", str(corpus), "--seeds", "1,0,1",
                    "--loss-modes", "total,re", "--epochs", "1", "--batch", "4",
@@ -758,3 +822,4 @@ class TestAblation:
         assert [tuple(r.split(",")[:2]) for r in rows] == [
             ("total", "1"), ("re", "1"), ("total", "0"), ("re", "0"), ("total", "1"), ("re", "1")]
         assert rows[0] == rows[4] and rows[1] == rows[5]
+        assert trained == [("total", 1), ("re", 1), ("total", 0), ("re", 0)]

@@ -83,13 +83,6 @@ class TestDetect:
         assert res.image_score == pytest.approx(res.score_map.sum())
         assert res.image_score >= 0.0
 
-    def test_modes_differ_but_both_work(self, params16):
-        img = RNG.uniform(0, 1, (16, 16))
-        a = detect(params16, img, mode="fourier")
-        b = detect(params16, img, mode="roundtrip")
-        assert a.score_map.shape == b.score_map.shape
-        assert not np.array_equal(a.score_map, b.score_map)
-
     def test_deterministic(self, params16):
         img = RNG.uniform(0, 1, (16, 16))
         a = detect(params16, img)
@@ -101,8 +94,6 @@ class TestDetect:
             detect(params16, np.zeros((8, 8)))
         with pytest.raises(DomainError):
             detect(params16, np.full((16, 16), 2.0))
-        with pytest.raises(ConfigurationError):
-            detect(params16, np.zeros((16, 16)), mode="sideways")
 
 
 class TestDetectFullImage:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aift import center_shift, dft2, spectrum_image
+from aift import dft2, spectrum_image
 from aift.errors import DimensionError, DomainError
 
 from oracles import conjugate_symmetry_error, dft2_loops, fft_pow2_recursive, idft2
@@ -85,20 +85,6 @@ class TestDftRoutes:
             dft2(np.zeros((2, 3, 4)))
         with pytest.raises(DomainError):
             dft2(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-
-
-class TestCenterShift:
-    def test_moves_dc_to_center(self):
-        a = np.zeros((8, 8))
-        a[0, 0] = 1.0
-        shifted = center_shift(a)
-        assert shifted[4, 4] == 1.0
-
-    def test_odd_extents(self):
-        a = np.zeros((5, 7))
-        a[0, 0] = 1.0
-        shifted = center_shift(a)
-        assert shifted[2, 3] == 1.0
 
 
 class TestSpectrumImage:
