@@ -5,8 +5,8 @@ Every command takes an optional ``--config`` file of ``key = value`` lines
 config file is read as ``--key=value`` flags placed before the command
 line's own, so explicit flags override file values, and unknown keys are
 rejected like unknown flags.  Only ``synth`` and ``train`` draw random
-numbers, so only they take ``--seed``; its resolution order is flag, config
-file, the ``AIFT_SEED`` environment variable, then 0.
+numbers, so only they take ``--seed``: the flag, else the config file,
+else 0.
 
 Every command reads and checks all of its inputs and settings first, and
 only then creates its output directory, writes an ``effective-config.txt``
@@ -25,10 +25,10 @@ input error, 4 integrity error, 1 any other failure.  A failure with code
 from __future__ import annotations
 
 import argparse
+import csv
 import fcntl
 import math
 import os
-import shutil
 import sys
 import warnings
 from contextlib import contextmanager
@@ -55,8 +55,6 @@ EXIT_INPUT = 3
 EXIT_INTEGRITY = 4
 
 _LOCK_NAME = ".aift-lock"
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
 
 
 def _ft(x: float) -> str:
@@ -96,9 +94,7 @@ def _non_negative(kind):
 
 
 def _add_seed(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_non_negative(int),
-                     default=os.environ.get("AIFT_SEED", "0"),
-                     help="RNG seed (default: $AIFT_SEED, else 0)")
+    sub.add_argument("--seed", type=_non_negative(int), default=0, help="RNG seed")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -115,8 +111,6 @@ def _add_train_knobs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--critic-iters", type=int, default=10,
                      help="discriminator updates per generator update")
     sub.add_argument("--lr", type=float, default=2e-4)
-    sub.add_argument("--beta1", type=float, default=0.5)
-    sub.add_argument("--beta2", type=float, default=0.999)
     sub.add_argument("--base-channels", type=int, default=32,
                      help="channel width of the first conv stage")
     sub.add_argument("--patch-size", type=int, default=0,
@@ -138,8 +132,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     s.add_argument("--defect", type=int, required=True,
                    help="number of defect test patches (matched by as many normal test patches)")
     s.add_argument("--patch-size", type=int, default=32)
-    s.add_argument("--force", action="store_true",
-                   help="overwrite a non-empty output directory")
     _add_seed(s)
     _add_common(s)
 
@@ -193,14 +185,17 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     """Turn a config file's ``key = value`` lines into ``--key=value`` flags.
 
     The one-token form keeps a value such as ``-1e-3`` from reading as an
-    option.  A flag key (``force``) becomes the bare flag when its value is
-    true and is left out when it is false.
+    option.
     """
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file {path} not found")
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     tokens: list[str] = []
-    for line_no, line in enumerate(p.read_text().splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -208,17 +203,10 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
             raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = (part.strip() for part in stripped.partition("="))
         flag = "--" + key.replace("_", "-")
-        action = sub._option_string_actions.get(flag)
-        if action is None or flag in ("--help", "--config"):
+        if flag not in sub._option_string_actions or flag in ("--help", "--config"):
             raise ConfigurationError(f"{path}:{line_no}: unknown config key '{key}' "
                                      f"for {sub.prog}")
-        if action.nargs != 0:
-            tokens.append(f"{flag}={value}")
-        elif value.lower() not in _BOOL_WORDS:
-            raise ConfigurationError(
-                f"{path}:{line_no}: config key '{key}' expects a boolean, got {value!r}")
-        elif _BOOL_WORDS[value.lower()]:
-            tokens.append(flag)
+        tokens.append(f"{flag}={value}")
     return tokens
 
 
@@ -320,8 +308,7 @@ def _test_images(manifest: DatasetManifest, patch: int) -> list[tuple[ManifestEn
 def _train_config(args: argparse.Namespace, loss_mode: str, seed: int) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs, batch_size=args.batch, lam=getattr(args, "lambda"),
-        critic_iters=args.critic_iters, lr=args.lr, beta1=args.beta1,
-        beta2=args.beta2, loss_mode=loss_mode, seed=seed,
+        critic_iters=args.critic_iters, lr=args.lr, loss_mode=loss_mode, seed=seed,
         base_channels=args.base_channels,
     ).validate()
 
@@ -364,19 +351,13 @@ def _read_map_csv(path: Path) -> np.ndarray:
 
 def cmd_synth(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    if not args.force and out.exists() and any(out.iterdir()):
+    if out.is_dir() and any(out.iterdir()):  # a file is left to _run_dir to refuse
         raise IntegrityError(
-            f"output directory {out} is not empty; pass --force to overwrite")
+            f"output directory {out} is not empty; remove it first or pick another --out")
     cfg = SynthConfig(n_train=args.normal, n_test_normal=args.defect,
                       n_test_defect=args.defect, patch_size=args.patch_size,
                       seed=args.seed).validate()
     with _run_dir(args) as run:
-        if args.force:  # only once the lock is ours, so a live run's files survive
-            for old in run.iterdir():
-                if old.is_dir() and not old.is_symlink():
-                    shutil.rmtree(old)
-                elif old.name not in (_LOCK_NAME, "effective-config.txt"):
-                    old.unlink()
         manifest = synth_corpus(cfg, run)
         print(f"wrote {len(manifest.entries)} corpus entries under {run}")
 
@@ -441,7 +422,7 @@ def cmd_detect(args: argparse.Namespace) -> None:
     with _run_dir(args) as run:
         maps_dir = run / "maps"
         maps_dir.mkdir(exist_ok=True)
-        rows = ["path,label,image_score"]
+        rows = [["path", "label", "image_score"]]
         used: set[str] = set()
         for name, label, image in tests:
             result = detect_full_image(params, image, stride=args.stride or None)
@@ -450,8 +431,9 @@ def cmd_detect(args: argparse.Namespace) -> None:
             (maps_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n")
             write_pgm(maps_dir / f"{stem}.pgm",
                       normalize_patch(result.score_map), maxval=65535)
-            rows.append(f"{name},{label},{_ft(result.image_score)}")
-        (run / "scores.csv").write_text("\n".join(rows) + "\n")
+            rows.append([name, label, _ft(result.image_score)])
+        with open(run / "scores.csv", "w", newline="") as fh:  # quotes a path holding a comma
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         print(f"scored {len(rows) - 1} image(s) -> {run / 'scores.csv'}")
 
 
@@ -459,12 +441,16 @@ def _read_scores_csv(path: str):
     p = Path(path)
     if not p.is_file():
         raise InputError(f"scores file {path} not found")
-    lines = p.read_text().splitlines()
-    if not lines or lines[0] != "path,label,image_score":
+    try:
+        with open(p, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read scores file {path}: {exc}") from None
+    if not rows or rows[0] != ["path", "label", "image_score"]:
         raise InputError(f"{path}: expected a scores.csv with header path,label,image_score")
     scores, labels = [], []
-    for line in lines[1:]:
-        parts = line.split(",")
+    for parts in rows[1:]:
+        line = ",".join(parts)
         if len(parts) != 3:
             raise InputError(f"{path}: malformed row {line!r}")
         try:
@@ -512,10 +498,12 @@ def _load_maps_and_gt(maps_dir: str, gt_dir: str):
 def cmd_eval(args: argparse.Namespace) -> None:
     if not args.maps and not args.scores:
         raise ConfigurationError("pass --maps (with --gt) and/or --scores")
+    if args.maps and not args.gt:
+        raise ConfigurationError("--maps needs --gt")
+    if args.gt and not args.maps:
+        raise ConfigurationError("--gt needs --maps")
     preds = gts = scores = labels = None
     if args.maps:
-        if not args.gt:
-            raise ConfigurationError("--maps needs --gt")
         preds, gts = _load_maps_and_gt(args.maps, args.gt)
     if args.scores:
         scores, labels = _read_scores_csv(args.scores)

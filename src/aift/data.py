@@ -99,6 +99,8 @@ def read_pgm(path) -> np.ndarray:
         except ValueError:
             raise InputError(f"{path}: non-numeric sample in P2 raster")
     values = np.asarray(values, dtype=np.float64)
+    if values.min(initial=0.0) < 0:  # only a P2 raster can hold a sign
+        raise InputError(f"{path}: negative sample in P2 raster")
     if values.max(initial=0.0) > maxval:
         raise InputError(f"{path}: sample exceeds declared maxval {maxval}")
     return (values / maxval).reshape(height, width)
@@ -245,17 +247,18 @@ class DatasetManifest:
         path = root / "manifest.csv"
         if not path.is_file():
             raise InputError(f"no manifest.csv under {root}")
-        entries = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["path", "mask", "label", "split"]:
-                raise InputError(f"{path}: unexpected manifest header {header}")
-            for row in reader:
-                if len(row) != 4:
-                    raise InputError(f"{path}: malformed manifest row {row}")
-                entries.append(ManifestEntry(*row))
-        return cls(root, entries)
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise InputError(f"cannot read {path}: {exc}") from None
+        header = rows[0] if rows else None
+        if header != ["path", "mask", "label", "split"]:
+            raise InputError(f"{path}: unexpected manifest header {header}")
+        for row in rows[1:]:
+            if len(row) != 4:
+                raise InputError(f"{path}: malformed manifest row {row}")
+        return cls(root, [ManifestEntry(*row) for row in rows[1:]])
 
 
 # -- synthetic corpus ----------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class TrainConfig:
     lam: float = 0.1
     critic_iters: int = 10
     lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
+    beta1: ClassVar[float] = 0.5  # Adam's betas are fixed, not settings
+    beta2: ClassVar[float] = 0.999
     loss_mode: str = "total"
     seed: int = 0
     base_channels: int = 32
@@ -59,9 +60,6 @@ class TrainConfig:
             raise ConfigurationError(f"critic_iters must be >= 1, got {self.critic_iters}")
         if self.lr <= 0.0:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1), got {beta}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigurationError(
                 f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")

@@ -220,51 +220,65 @@ class TestArgumentHandling:
         assert err.count("\n") == 1
         assert err.startswith("aift: configuration error: ")
 
-    def test_config_flag_key_takes_a_boolean(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
+    @pytest.mark.parametrize("command, setting, word", [
+        ("synth", ["--force"], "--force"),
+        ("train", ["--beta1", "0.9"], "--beta1"),
+        ("synth", "force = yes", "'force'"),
+        ("ablation", "beta2 = 0.9", "'beta2'"),
+    ], ids=["force-flag", "beta1-flag", "force-key", "beta2-key"])
+    def test_removed_settings_are_rejected(self, command, setting, word, corpus,
+                                           tmp_path, capsys):
+        # synth never wipes a directory, and Adam's betas are constants
+        if isinstance(setting, str):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(setting + "\n")
+            setting = ["--config", str(cfg)]
+        argv = {"synth": ["--normal", "1", "--defect", "1", "--patch-size", "8"],
+                "train": ["--data", str(corpus)],
+                "ablation": ["--data", str(corpus), "--seeds", "0"]}[command]
         out = tmp_path / "out"
-        out.mkdir()
-        (out / "stale.txt").write_text("x")
-        cfg.write_text("force = maybe\n")
-        rc = main(["synth", "--config", str(cfg), "--normal", "1", "--defect", "1",
-                   "--patch-size", "8", "--out", str(out)])
-        assert rc == 2
-        assert (out / "stale.txt").exists()
-        cfg.write_text("force = yes\n")
-        rc = main(["synth", "--config", str(cfg), "--normal", "1", "--defect", "1",
-                   "--patch-size", "8", "--out", str(out)])
-        assert rc == 0
-        assert not (out / "stale.txt").exists()
-        assert "force = True" in (out / "effective-config.txt").read_text()
+        rc = main([command, *argv, *setting, "--out", str(out)])
+        assert_failed_without_output(rc, 2, "configuration error", capsys, out, word)
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"normal = 2\n\xff\n")
+        line = run_module(tmp_path, 2, "synth", "--config", cfg, "--defect", "1",
+                          "--out", tmp_path / "out")
+        assert line.startswith(f"aift: configuration error: cannot read config file {cfg}")
 
 
 class TestSeedResolution:
-    def test_default_seed_is_zero(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("AIFT_SEED", raising=False)
+    def test_default_seed_is_zero(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["synth", "--normal", "1", "--defect", "1",
                    "--patch-size", "8", "--out", str(out)])
         assert rc == 0
         assert "seed = 0" in (out / "effective-config.txt").read_text()
 
-    def test_env_seed_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AIFT_SEED", "7")
-        out = tmp_path / "out"
-        rc = main(["synth", "--normal", "1", "--defect", "1",
-                   "--patch-size", "8", "--out", str(out)])
-        assert rc == 0
-        assert "seed = 7" in (out / "effective-config.txt").read_text()
+    @pytest.mark.parametrize("value", ["7", "lots"])
+    def test_environment_does_not_set_the_seed(self, value, tmp_path, monkeypatch):
+        def corpus_bytes(out):
+            assert main(["synth", "--normal", "2", "--defect", "1",
+                         "--patch-size", "8", "--out", str(out)]) == 0
+            assert "seed = 0" in (out / "effective-config.txt").read_text().splitlines()
+            # the echo names --out, so it differs between the two runs
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                    if p.is_file() and p.name != "effective-config.txt"}
 
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AIFT_SEED", "7")
+        monkeypatch.delenv("AIFT_SEED", raising=False)
+        plain = corpus_bytes(tmp_path / "plain")
+        monkeypatch.setenv("AIFT_SEED", value)
+        assert plain and corpus_bytes(tmp_path / "env") == plain
+
+    def test_flag_sets_the_seed(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["synth", "--normal", "1", "--defect", "1",
                    "--patch-size", "8", "--seed", "3", "--out", str(out)])
         assert rc == 0
         assert "seed = 3" in (out / "effective-config.txt").read_text()
 
-    def test_config_seed_beats_env_and_flag_beats_both(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AIFT_SEED", "7")
+    def test_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 9\n")
         for extra, expected in (([], "seed = 9"), (["--seed", "3"], "seed = 3")):
@@ -273,12 +287,6 @@ class TestSeedResolution:
                        "--patch-size", "8", *extra, "--out", str(out)])
             assert rc == 0
             assert expected in (out / "effective-config.txt").read_text().splitlines()
-
-    def test_non_integer_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AIFT_SEED", "lots")
-        rc = main(["synth", "--normal", "1", "--defect", "1",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
 
     def test_negative_seed_rejected(self, tmp_path):
         rc = main(["synth", "--normal", "1", "--defect", "1", "--seed", "-4",
@@ -333,13 +341,16 @@ class TestRunDirProtocol:
         assert not (out / "report.csv").exists()
         assert not (out / "effective-config.txt").exists()
 
-    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
-    def test_out_at_or_below_a_file_is_integrity_error(self, below, tmp_path):
+    @pytest.mark.parametrize("command, below", [("eval", ""), ("eval", "sub"), ("synth", "")],
+                             ids=["file", "below-file", "synth-file"])
+    def test_out_at_or_below_a_file_is_integrity_error(self, command, below, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("x")
         scores = tmp_path / "scores.csv"
         scores.write_text("path,label,image_score\na,defect,0.9\nb,normal,0.1\n")
-        line = run_module(tmp_path, 4, "eval", "--scores", scores, "--out", taken / below)
+        argv = {"eval": ["--scores", scores],
+                "synth": ["--normal", "1", "--defect", "1", "--patch-size", "8"]}[command]
+        line = run_module(tmp_path, 4, command, *argv, "--out", taken / below)
         assert line.startswith("aift: integrity error: cannot create output directory")
         assert taken.read_text() == "x"
 
@@ -414,7 +425,7 @@ class TestSynth:
         for entry in manifest.entries:
             assert manifest.image_path(entry).is_file()
 
-    def test_refuses_nonempty_out(self, tmp_path):
+    def test_refuses_nonempty_out(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
         (out / "stale.txt").write_text("x")
@@ -422,29 +433,18 @@ class TestSynth:
                    "--patch-size", "8", "--out", str(out)])
         assert rc == 4
         assert (out / "stale.txt").exists()
+        assert "remove it first" in capsys.readouterr().err
 
-    def test_force_rerun_matches_fresh_run(self, tmp_path):
+    def test_same_seed_reruns_are_byte_identical(self, tmp_path):
         args = ["--normal", "2", "--defect", "1", "--patch-size", "8", "--seed", "5"]
         a = tmp_path / "a"
         b = tmp_path / "b"
         assert main(["synth", *args, "--out", str(a)]) == 0
-        assert main(["synth", *args, "--force", "--out", str(a)]) == 0
         assert main(["synth", *args, "--out", str(b)]) == 0
         rel_paths = sorted(p.relative_to(a) for p in a.rglob("*.pgm"))
         assert rel_paths
         for rel in rel_paths + ["manifest.csv"]:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
-
-    def test_force_leaves_a_locked_directory_alone(self, tmp_path):
-        out = tmp_path / "busy"
-        (out / "normal").mkdir(parents=True)
-        (out / "normal" / "kept.pgm").write_text("x")
-        with held_lock(out):
-            rc = main(["synth", "--normal", "1", "--defect", "1", "--patch-size", "8",
-                       "--force", "--out", str(out)])
-        assert rc == 4
-        assert (out / "normal" / "kept.pgm").read_text() == "x"
-        assert sorted(p.name for p in out.iterdir()) == [".aift-lock", "normal"]
 
 
 class TestTrain:
@@ -470,6 +470,13 @@ class TestTrain:
         empty.mkdir()
         rc = main(["train", "--data", str(empty), "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_non_utf8_manifest_is_input_error(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.csv").write_bytes(b"path,mask,label,split\n\xff.pgm,,normal,train\n")
+        line = run_module(tmp_path, 3, "train", "--data", data, "--out", tmp_path / "out")
+        assert line.startswith(f"aift: input error: cannot read {data / 'manifest.csv'}")
 
     def test_bad_patch_size_is_config_error(self, corpus, tmp_path):
         rc = main(["train", "--data", str(corpus), "--patch-size", "20",
@@ -616,6 +623,30 @@ class TestDetect:
                    "--data", str(small_corpus(tmp_path, missing=True)), "--out", str(out)])
         assert_failed_without_output(rc, 3, "input error", capsys, out, "t.pgm")
 
+    def test_comma_path_round_trips_through_eval(self, ckpt, tmp_path):
+        data = tmp_path / "data"
+        (data / "normal").mkdir(parents=True)
+        rng = np.random.default_rng(4)
+        for name in ("a,b.pgm", 'q"d.pgm'):
+            write_pgm(data / "normal" / name, rng.uniform(0, 1, (16, 16)))
+        DatasetManifest(data, [ManifestEntry("normal/a,b.pgm", "", "normal", "test"),
+                               ManifestEntry('normal/q"d.pgm', "", "defect", "test")]).save()
+        run = tmp_path / "run"
+        assert main(["detect", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(run)]) == 0
+        rows = (run / "scores.csv").read_text().splitlines()
+        assert rows[1].startswith('"normal/a,b.pgm",normal,')
+        assert rows[2].startswith('"normal/q""d.pgm",defect,')
+        assert main(["eval", "--scores", str(run / "scores.csv"),
+                     "--out", str(tmp_path / "report")]) == 0
+
+    def test_negative_pgm_sample_is_input_error(self, ckpt, tmp_path):
+        image = tmp_path / "neg.pgm"
+        image.write_text("P2\n16 16\n255\n-5" + " 7" * 255 + "\n")
+        line = run_module(tmp_path, 3, "detect", "--ckpt", ckpt, "--image", image,
+                          "--out", tmp_path / "run")
+        assert line == f"aift: input error: {image}: negative sample in P2 raster"
+
     def test_map_stems_are_never_reused(self):
         for paths, expected in (
                 (["x/b.pgm", "b.pgm"], ["b", "b_2"]),
@@ -680,6 +711,20 @@ class TestEval:
         rc = main(["eval", "--maps", str(detect_run / "maps"),
                    "--out", str(tmp_path / "run")])
         assert rc == 2
+
+    def test_gt_without_maps_is_config_error(self, corpus, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("path,label,image_score\na,defect,0.9\nb,normal,0.1\n")
+        out = tmp_path / "run"
+        rc = main(["eval", "--scores", str(scores), "--gt", str(corpus / "masks"),
+                   "--out", str(out)])
+        assert_failed_without_output(rc, 2, "configuration error", capsys, out, "--gt needs --maps")
+
+    def test_non_utf8_scores_is_input_error(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"path,label,image_score\n\xff,defect,0.9\nb,normal,0.1\n")
+        line = run_module(tmp_path, 3, "eval", "--scores", scores, "--out", tmp_path / "run")
+        assert line.startswith(f"aift: input error: cannot read scores file {scores}")
 
     def test_no_inputs_is_config_error(self, tmp_path):
         rc = main(["eval", "--out", str(tmp_path / "run")])
