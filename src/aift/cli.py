@@ -139,7 +139,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     s.add_argument("--data", required=True, help="corpus directory with manifest.csv")
     s.add_argument("--loss", choices=LOSS_MODES, default="total")
     _add_train_knobs(s)
-    s.add_argument("--ckpt-every", type=int, default=0,
+    s.add_argument("--ckpt-every", type=_non_negative(int), default=0,
                    help="write a checkpoint every K epochs (0: final only)")
     _add_seed(s)
     _add_common(s)
@@ -454,9 +454,12 @@ def _read_scores_csv(path: str):
         if len(parts) != 3:
             raise InputError(f"{path}: malformed row {line!r}")
         try:
-            scores.append(float(parts[2]))
+            score = float(parts[2])
         except ValueError:
             raise InputError(f"{path}: non-numeric score in row {line!r}")
+        if not math.isfinite(score):
+            raise InputError(f"{path}: non-finite score in row {line!r}")
+        scores.append(score)
         if parts[1] not in ("normal", "defect"):
             raise InputError(f"{path}: label must be normal or defect in row {line!r}")
         labels.append(parts[1] == "defect")

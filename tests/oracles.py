@@ -115,6 +115,27 @@ def conv_transpose2d_tap_major(x, k, stride=1, padding=0):
     return full[:, padding:fh - padding, padding:fw - padding].transpose(0, 3, 1, 2)
 
 
+def conv2d_kernel_grad_channel_major(x, g, kh, kw, stride=1, padding=0):
+    """Kernel gradient of sum(conv2d(x, k) * g) as one GEMM over (C, kh, kw)
+    columns, each column cut from the padded input one tap at a time.
+
+    The engine builds tap-major columns instead; each kernel entry is still
+    a dot product over the same output pixels, so on the model's layer
+    shapes it must match bit for bit.
+    """
+    n, c, h, w = x.shape
+    kk, ho, wo = g.shape[1:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n * ho * wo, c * kh * kw), dtype=xp.dtype)
+    for ci in range(c):
+        for u in range(kh):
+            for v in range(kw):
+                taps = xp[:, ci, u:u + ho * stride:stride, v:v + wo * stride:stride]
+                cols[:, (ci * kh + u) * kw + v] = taps.reshape(-1)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, kk)
+    return (g2.T @ cols).reshape(kk, c, kh, kw)
+
+
 # -- DFT by quadruple loop ---------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Gradient and shape checks for the autodiff engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ import aift.autodiff as ad
 from aift.autodiff import Tensor, no_grad
 from aift.errors import ContractError, DimensionError, DomainError
 
-from oracles import (check_gradients, conv2d_loops, conv_transpose2d_loops,
-                     conv_transpose2d_tap_major)
+from oracles import (check_gradients, conv2d_kernel_grad_channel_major, conv2d_loops,
+                     conv_transpose2d_loops, conv_transpose2d_tap_major)
 
 RNG = np.random.default_rng(20240811)
 
@@ -49,22 +51,55 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
         assert np.all(np.isfinite(out.data))
 
-    @pytest.mark.parametrize("slope", [1e-300, 0.01, 0.2, 0.5, 1.0])
-    def test_leaky_relu_equals_where_form_bit_for_bit(self, slope):
+    # the smallest float32 slope is 1e-30, since 1e-300 rounds to 0 there
+    @pytest.mark.parametrize(
+        "slope, dtype", [(s, np.float64) for s in (1e-300, 0.01, 0.2, 0.5, 1.0)]
+        + [(s, np.float32) for s in (1e-30, 0.01, 0.2, 0.5, 1.0)],
+        ids=["1e-300", "0.01", "0.2", "0.5", "1.0"]
+        + [f"float32-{s}" for s in ("1e-30", "0.01", "0.2", "0.5", "1.0")])
+    def test_leaky_relu_equals_where_form_bit_for_bit(self, slope, dtype):
         rng = np.random.default_rng(5)
-        tiny = np.finfo(np.float64).smallest_subnormal
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
         x = np.concatenate([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
-                             np.inf, -np.inf, 1e308, -1e308],
-                            rng.standard_normal(50)])
-        a = Tensor(x, requires_grad=True)
-        out = ad.leaky_relu(a, slope)
+                             np.inf, -np.inf, info.max, -info.max],
+                            rng.standard_normal(50)]).astype(dtype)
+        uint = np.uint64 if dtype == np.float64 else np.uint32
+        out = ad.leaky_relu(Tensor(x), slope)
         ref = np.where(x > 0.0, x, slope * x)
-        # uint64 views, so that -0.0 and 0.0 count as different
-        assert np.array_equal(out.data.view(np.uint64), ref.view(np.uint64))
-        g = rng.standard_normal(x.shape)
-        out._backward(g)
-        expected = np.where(x > 0.0, g, slope * g)
-        assert np.array_equal(a.grad.view(np.uint64), expected.view(np.uint64))
+        # unsigned views, so that -0.0 and 0.0 count as different
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data.view(uint), ref.view(uint))
+        # the gradient of a NaN input takes the slope, as in the where form,
+        # and so does a gradient of the other dtype
+        x = np.append(x, dtype(np.nan))
+        for gtype, guint in ((np.float64, np.uint64), (np.float32, np.uint32)):
+            a = Tensor(x, requires_grad=True)
+            g = rng.standard_normal(x.shape).astype(gtype)
+            ad.leaky_relu(a, slope)._backward(g)
+            expected = np.where(x > 0.0, g, slope * g)
+            assert a.grad.dtype == gtype
+            assert np.array_equal(a.grad.view(guint), expected.view(guint))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_equals_boolean_mask_form_bit_for_bit(self, dtype):
+        def mask_form(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.concatenate([[-0.0, 0.0, 800.0, -800.0, np.inf, -np.inf,
+                             tiny, -tiny, 3 * tiny, -3 * tiny],
+                            np.random.default_rng(6).standard_normal(50) * 20]).astype(dtype)
+        uint = np.uint64 if dtype == np.float64 else np.uint32
+        out = ad.sigmoid(Tensor(x)).data
+        assert out.dtype == dtype
+        assert np.array_equal(out.view(uint), mask_form(x).view(uint))
+        assert np.isnan(ad.sigmoid(Tensor(np.array([np.nan], dtype=dtype))).data).all()
 
     def test_leaky_relu_with_zero_slope_on_finite_input(self):
         x = np.array([-0.0, 0.0, -2.0, 3.0, -np.finfo(np.float64).smallest_subnormal])
@@ -254,6 +289,41 @@ class TestConvolutionValues:
         ad.tsum(ad.mul(y, Tensor(g))).backward()
         assert np.array_equal(x.grad, conv_transpose2d_tap_major(g, k, stride, padding))
 
+    # the model's conv2d layers: 4x4 kernels at stride 2 with padding 1, on
+    # the stage shapes of a 32 px patch; one output channel is the smallest case
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 50])
+    @pytest.mark.parametrize("channels,size,kernels", [(1, 32, 16), (16, 16, 1), (64, 4, 128)],
+                             ids=["1-16", "16-1", "64-128"])
+    def test_conv2d_kernel_gradient_bit_for_bit(self, channels, size, kernels, batch, dtype):
+        rng = np.random.default_rng(2300 + channels + kernels + batch)
+        x = rng.standard_normal((batch, channels, size, size)).astype(dtype)
+        k = Tensor(rng.standard_normal((kernels, channels, 4, 4)).astype(dtype),
+                   requires_grad=True)
+        y = ad.conv2d(Tensor(x), k, 2, 1)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        ad.tsum(ad.mul(y, Tensor(g))).backward()
+        assert k.grad.dtype == dtype and k.grad.flags.c_contiguous
+        assert np.array_equal(k.grad, conv2d_kernel_grad_channel_major(x, g, 4, 4, 2, 1))
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
+    def test_kernel_gradient_reads_the_input_of_the_forward_pass(self, transpose):
+        # the backward pass rebuilds its columns from the input array the
+        # forward pass read, even if the tensor's data is rebound meanwhile
+        rng = np.random.default_rng(2400)
+        x = rng.standard_normal((2, 3, 8, 8))
+        k = rng.standard_normal((3, 5, 4, 4) if transpose else (5, 3, 4, 4))
+        op = ad.conv_transpose2d if transpose else ad.conv2d
+        grads = []
+        for rebind in (False, True):
+            xt, kt = Tensor(x), Tensor(k, requires_grad=True)
+            y = op(xt, kt, 2, 1)
+            if rebind:
+                xt.data = np.zeros_like(x)
+            ad.tsum(y).backward()
+            grads.append(kt.grad)
+        assert np.array_equal(grads[0], grads[1])
+
     def test_output_shape_formulas(self):
         x = Tensor(np.zeros((1, 1, 32, 32)))
         k = Tensor(np.zeros((8, 1, 4, 4)))
@@ -284,6 +354,35 @@ class TestConvolutionValues:
     def test_kernel_larger_than_input(self):
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+
+class TestGraphMemory:
+    """A conv node keeps its input array and its kernel, which the graph
+    holds anyway; it keeps no column matrix and no copy of its input."""
+
+    @staticmethod
+    def _held_bytes(op, x, k):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = op(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), 2, 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return held, y.data.nbytes
+
+    def test_conv2d_holds_only_its_output(self):
+        rng = np.random.default_rng(2500)
+        held, out = self._held_bytes(ad.conv2d, rng.standard_normal((8, 16, 16, 16)),
+                                     rng.standard_normal((32, 16, 4, 4)))
+        assert held <= out + 8192, (held, out)
+
+    def test_conv_transpose2d_holds_only_its_output(self):
+        # a [N, C, H, W] input is not channel-last, so its GEMM rows are a copy
+        rng = np.random.default_rng(2501)
+        held, out = self._held_bytes(ad.conv_transpose2d, rng.standard_normal((8, 16, 8, 8)),
+                                     rng.standard_normal((16, 8, 4, 4)))
+        assert held <= out + 8192, (held, out)
 
 
 def _kernel_grad_loops(x, g, kshape, stride, padding, transpose):

@@ -483,6 +483,17 @@ class TestTrain:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("setting", [["--ckpt-every", "-3"], "ckpt_every = -3"],
+                             ids=["flag", "config-key"])
+    def test_negative_ckpt_every_is_config_error(self, setting, corpus, tmp_path, capsys):
+        if isinstance(setting, str):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(setting + "\n")
+            setting = ["--config", str(cfg)]
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(corpus), *setting, "--out", str(out)])
+        assert_failed_without_output(rc, 2, "configuration error", capsys, out, "-3")
+
 
 class TestTransform:
     def test_panels_written_and_consistent(self, ckpt, tmp_path):
@@ -788,7 +799,10 @@ class TestEval:
         ("a,normal,0.9\nb,normal,0.1\n", ["no defect rows"]),
         ("a,defect,0.9\n", ["no normal rows"]),
         ("patch.pgm,,0.9\n", ["label", "patch.pgm,,0.9"]),  # as detect --image writes it
-    ], ids=["unknown-label", "no-defect", "no-normal", "empty-label"])
+        ("a,defect,nan\nb,normal,0.1\n", ["non-finite score", "a,defect,nan"]),
+        ("a,defect,0.9\nb,normal,-inf\n", ["non-finite score", "b,normal,-inf"]),
+    ], ids=["unknown-label", "no-defect", "no-normal", "empty-label", "nan-score",
+            "inf-score"])
     def test_scores_labels_are_checked(self, rows, words, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("path,label,image_score\n" + rows)
