@@ -13,10 +13,11 @@ Only the operations needed by the models in this package are provided.
 Shapes are checked strictly: apart from the explicit bias-add helpers there
 is no broadcasting.
 
-A conv node holds its input array and its kernel, which the graph keeps
-anyway; it holds no column matrix and no copy of its input.  The backward
-pass rebuilds the columns it needs for the kernel gradient, which costs a
-copy per step but cuts a training step's peak memory by about a third.
+A transposed convolution is a convolution's input gradient, so conv2d and
+conv_transpose2d share three array kernels.  A conv node holds its input
+array and its kernel, which the graph keeps anyway, and no column matrix;
+the backward pass rebuilds the columns of the kernel gradient, which costs
+a copy per step but cuts a training step's peak memory by about a third.
 
 Dtypes follow the data.  A tensor keeps float32 or float64 values as given
 (anything else becomes float64), every buffer an operation allocates takes
@@ -173,7 +174,8 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
         raise ContractError(
             f"gradient of shape {np.shape(grad)} for a tensor of shape {tensor.shape}")
     if tensor.grad is None:
-        tensor.grad = grad.copy() if isinstance(grad, np.ndarray) else np.asarray(grad)
+        # no code writes into a .grad, so only a strided view is copied
+        tensor.grad = np.asarray(grad, order="C")
     else:
         tensor.grad = tensor.grad + grad
 
@@ -406,35 +408,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
         writeable=False)
 
 
-def _channel_major(win: np.ndarray) -> np.ndarray:
-    """The [N * Ho * Wo, C * kh * kw] matrix of an _im2col view."""
-    n, ho, wo, kh, kw, c = win.shape
-    return win.transpose(0, 1, 2, 5, 3, 4).reshape(n * ho * wo, c * kh * kw)
-
-
-def _tap_gemm(a: np.ndarray, kmat: np.ndarray, c: int, kh: int, kw: int) -> np.ndarray:
-    """``a @ kmat`` for a kernel matrix with (C, kh, kw) columns, returned as
-    a [rows, kh, kw, C] tap-major array (possibly a view).
-
-    Two routes give the tap-major order.  The kernel route copies the
-    kernel into tap-major columns before the GEMM, so the product comes out
-    contiguous.  The product route copies nothing and returns a transposed
-    view of the product; its cost moves into _scatter_taps, whose adds then
-    read strided memory.  The product route is taken when the product has
-    fewer rows than the kernel matrix, that is when it is the smaller of
-    the two arrays: one-patch inference then skips copying the 1 MB first
-    decoder kernel, while training batches keep contiguous taps (the
-    product route alone made a batch-50 training step about 15 % slower).
-    Only the column order of the GEMM differs, so every dot product, and
-    with it every output bit, is the same on both routes.
-    """
-    rows = a.shape[0]
-    if rows < kmat.shape[0]:
-        return (a @ kmat).reshape(rows, c, kh, kw).transpose(0, 2, 3, 1)
-    kperm = kmat.reshape(-1, c, kh, kw).transpose(0, 2, 3, 1).reshape(-1, kh * kw * c)
-    return (a @ kperm).reshape(rows, kh, kw, c)
-
-
 def _scatter_taps(taps: np.ndarray, stride: int, full_h: int, full_w: int) -> np.ndarray:
     """Inverse of _im2col up to summation: add every window entry back at the
     padded position it was read from.  ``taps`` is [N, Ho, Wo, kh, kw, C];
@@ -473,11 +446,68 @@ def _pixel_rows(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
 
 
-def _check_conv_args(stride: int, padding: int) -> None:
+def _correlate(win: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """The channel-major (C, kh, kw) columns of an _im2col view times the
+    transposed [K, C * kh * kw] kernel matrix, as an [N, K, Ho, Wo] view:
+    conv2d's forward pass and conv_transpose2d's input gradient."""
+    n, ho, wo, kh, kw, c = win.shape
+    cols = win.transpose(0, 1, 2, 5, 3, 4).reshape(n * ho * wo, c * kh * kw)
+    return (cols @ kmat.T).reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
+
+
+def _correlate_adjoint(y: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int,
+                       padding: int, full_h: int, full_w: int) -> np.ndarray:
+    """The adjoint of _correlate: each pixel of y [N, K, H, W] times the
+    [K, C * kh * kw] kernel matrix, added back at its taps and cropped by
+    ``padding``, as an [N, C, full_h - 2 * padding, full_w - 2 * padding]
+    view: conv_transpose2d's forward pass and conv2d's input gradient.
+
+    The product comes out tap-major, [rows, kh, kw, C], by one of two routes
+    that differ only in the GEMM's column order, so in no output bit.  The
+    kernel route copies the kernel into tap-major columns and gets a
+    contiguous product.  The product route, taken when the product has
+    fewer rows than the kernel matrix, copies nothing and hands
+    _scatter_taps a transposed view, whose adds then read strided memory:
+    one-patch inference skips copying the 1 MB first decoder kernel, while
+    training batches keep contiguous taps (the product route alone made a
+    batch-50 training step about 15 % slower).
+    """
+    n, _, h, w = y.shape
+    rows = _pixel_rows(y)
+    c = kmat.shape[1] // (kh * kw)
+    if rows.shape[0] < kmat.shape[0]:
+        taps = (rows @ kmat).reshape(-1, c, kh, kw).transpose(0, 2, 3, 1)
+    else:
+        kperm = kmat.reshape(-1, c, kh, kw).transpose(0, 2, 3, 1).reshape(-1, kh * kw * c)
+        taps = rows @ kperm
+    full = _scatter_taps(taps.reshape(n, h, w, kh, kw, c), stride, full_h, full_w)
+    return full[:, :, padding:full_h - padding, padding:full_w - padding]
+
+
+def _window_grad(win: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a kernel correlated with an _im2col view to give
+    g [N, G, Ho, Wo], as a contiguous [G, C, kh, kw] array: the kernel
+    gradient of both ops.  Tap-major columns copy faster than (C, kh, kw),
+    and each entry is still one dot product over the same rows."""
+    n, ho, wo, kh, kw, c = win.shape
+    cols = win.reshape(n * ho * wo, kh * kw * c)
+    gk = (_pixel_rows(g).T @ cols).reshape(-1, kh, kw, c).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(gk)
+
+
+def _check_conv(x: Tensor, k: Tensor, stride: int, padding: int, transpose: bool) -> None:
+    op, axes = ("conv_transpose2d", "C, K") if transpose else ("conv2d", "K, C")
     if stride < 1:
         raise DimensionError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise DimensionError(f"padding must be >= 0, got {padding}")
+    if x.data.ndim != 4:
+        raise DimensionError(f"{op} input must be [N, C, H, W], got {x.shape}")
+    if k.data.ndim != 4:
+        raise DimensionError(f"{op} kernel must be [{axes}, kh, kw], got {k.shape}")
+    kc = k.shape[0 if transpose else 1]
+    if kc != x.shape[1]:
+        raise DimensionError(f"{op}: kernel expects {kc} input channels, map has {x.shape[1]}")
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -485,42 +515,23 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     Output is [N, K, H', W'] with H' = floor((H + 2 * padding - kh) / stride) + 1.
     """
-    _check_conv_args(stride, padding)
-    if x.data.ndim != 4:
-        raise DimensionError(f"conv2d input must be [N, C, H, W], got {x.shape}")
-    if k.data.ndim != 4:
-        raise DimensionError(f"conv2d kernel must be [K, C, kh, kw], got {k.shape}")
-    n, c, h, w = x.shape
-    kk, kc, kh, kw = k.shape
-    if kc != c:
-        raise DimensionError(f"conv2d: kernel expects {kc} input channels, map has {c}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
+    _check_conv(x, k, stride, padding, transpose=False)
+    h, w = x.shape[2:]
+    kk, _, kh, kw = k.shape
+    full_h, full_w = h + 2 * padding, w + 2 * padding
+    if full_h < kh or full_w < kw:
         raise DimensionError(
-            f"conv2d: kernel ({kh}x{kw}) larger than padded input "
-            f"({h + 2 * padding}x{w + 2 * padding})")
+            f"conv2d: kernel ({kh}x{kw}) larger than padded input ({full_h}x{full_w})")
 
     xd = x.data
-    win = _im2col(xd, kh, kw, stride, padding)
-    ho, wo = win.shape[1:3]
-    kmat = k.data.reshape(kk, c * kh * kw)
-    out = (_channel_major(win) @ kmat.T).reshape(n, ho, wo, kk).transpose(0, 3, 1, 2)
-    full_h, full_w = h + 2 * padding, w + 2 * padding
+    kmat = k.data.reshape(kk, -1)
+    out = _correlate(_im2col(xd, kh, kw, stride, padding), kmat)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, kk)
         if k.requires_grad:
-            # rebuilt rather than held from the forward pass, and tap-major,
-            # which copies faster than (C, kh, kw); each kernel entry is
-            # still one dot product over the same rows
-            cols = _im2col(xd, kh, kw, stride, padding).reshape(n * ho * wo, kh * kw * c)
-            gk = (g2.T @ cols).reshape(kk, kh, kw, c).transpose(0, 3, 1, 2)
-            _accumulate(k, np.ascontiguousarray(gk))
+            _accumulate(k, _window_grad(_im2col(xd, kh, kw, stride, padding), g))
         if x.requires_grad:
-            taps = _tap_gemm(g2, kmat, c, kh, kw).reshape(n, ho, wo, kh, kw, c)
-            gxp = _scatter_taps(taps, stride, full_h, full_w)
-            if padding:
-                gxp = gxp[:, :, padding:full_h - padding, padding:full_w - padding]
-            _accumulate(x, gxp)
+            _accumulate(x, _correlate_adjoint(g, kmat, kh, kw, stride, padding, full_h, full_w))
 
     return _record(out, (x, k), backward)
 
@@ -532,36 +543,24 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) ->
     With identical kernel values this operation is the exact adjoint of
     ``conv2d`` under the Frobenius inner product.
     """
-    _check_conv_args(stride, padding)
-    if x.data.ndim != 4:
-        raise DimensionError(f"conv_transpose2d input must be [N, C, H, W], got {x.shape}")
-    if k.data.ndim != 4:
-        raise DimensionError(f"conv_transpose2d kernel must be [C, K, kh, kw], got {k.shape}")
-    n, c, h, w = x.shape
-    kc, kk, kh, kw = k.shape
-    if kc != c:
-        raise DimensionError(f"conv_transpose2d: kernel expects {kc} input channels, map has {c}")
-    full_h = (h - 1) * stride + kh
-    full_w = (w - 1) * stride + kw
-    out_h = full_h - 2 * padding
-    out_w = full_w - 2 * padding
-    if out_h < 1 or out_w < 1:
+    _check_conv(x, k, stride, padding, transpose=True)
+    h, w = x.shape[2:]
+    c, _, kh, kw = k.shape
+    full_h, full_w = (h - 1) * stride + kh, (w - 1) * stride + kw
+    if full_h - 2 * padding < 1 or full_w - 2 * padding < 1:
         raise DimensionError(
             f"conv_transpose2d: padding {padding} consumes the whole {full_h}x{full_w} output")
 
     xd = x.data
-    kmat = k.data.reshape(c, kk * kh * kw)
-    taps = _tap_gemm(_pixel_rows(xd), kmat, kk, kh, kw).reshape(n, h, w, kh, kw, kk)
-    full = _scatter_taps(taps, stride, full_h, full_w)
-    out = full[:, :, padding:full_h - padding, padding:full_w - padding]
+    kmat = k.data.reshape(c, -1)
+    out = _correlate_adjoint(xd, kmat, kh, kw, stride, padding, full_h, full_w)
 
     def backward(g):
-        gcols = _channel_major(_im2col(g, kh, kw, stride, padding))
-        # gcols rows follow x's spatial order, columns follow (K, kh, kw)
+        # g's windows line up with x's pixels
+        win = _im2col(g, kh, kw, stride, padding)
         if k.requires_grad:
-            _accumulate(k, (_pixel_rows(xd).T @ gcols).reshape(c, kk, kh, kw))
+            _accumulate(k, _window_grad(win, xd))
         if x.requires_grad:
-            gx = (gcols @ kmat.T).reshape(n, h, w, c).transpose(0, 3, 1, 2)
-            _accumulate(x, np.ascontiguousarray(gx))
+            _accumulate(x, _correlate(win, kmat))
 
     return _record(np.ascontiguousarray(out), (x, k), backward)

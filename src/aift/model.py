@@ -249,7 +249,8 @@ def load_checkpoint(path) -> AiftParams:
     tensors: dict[str, Tensor] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<I")
-        name = reader.take(name_len).decode("utf-8")
+        # a name that is not UTF-8 decodes to one that fails the listing check
+        name = reader.take(name_len).decode("utf-8", errors="replace")
         (rank,) = reader.unpack("<I")
         shape = tuple(reader.unpack(f"<{rank}I")) if rank else ()
         n_values = int(np.prod(shape, dtype=np.int64)) if shape else 1

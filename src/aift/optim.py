@@ -41,8 +41,8 @@ class Adam:
         self.params: list[Tensor] = list(params)
         if not self.params:
             raise ConfigurationError("Adam needs at least one parameter")
-        if lr < 0.0:
-            raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
+        if not 0.0 <= lr < np.inf:
+            raise ConfigurationError(f"learning rate must be finite and >= 0, got {lr}")
         for name, beta in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 <= beta < 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {beta}")

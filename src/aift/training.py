@@ -54,12 +54,12 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lam < 0.0:
-            raise ConfigurationError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.critic_iters < 1:
             raise ConfigurationError(f"critic_iters must be >= 1, got {self.critic_iters}")
-        if self.lr <= 0.0:
-            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigurationError(
                 f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")

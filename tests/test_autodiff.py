@@ -306,6 +306,25 @@ class TestConvolutionValues:
         assert k.grad.dtype == dtype and k.grad.flags.c_contiguous
         assert np.array_equal(k.grad, conv2d_kernel_grad_channel_major(x, g, 4, 4, 2, 1))
 
+    # the model's conv_transpose2d layers at base 16: 4x4 kernels at stride 2
+    # with padding 1, from the first decoder stage to the last; the kernel
+    # gradient is conv2d's with the input and the output gradient swapped
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 50])
+    @pytest.mark.parametrize("channels,size,kernels", [(128, 2, 64), (64, 4, 32), (16, 16, 1)],
+                             ids=["128-64", "64-32", "16-1"])
+    def test_conv_transpose2d_kernel_gradient_bit_for_bit(self, channels, size, kernels, batch,
+                                                          dtype):
+        rng = np.random.default_rng(2600 + channels + kernels + batch)
+        x = rng.standard_normal((batch, channels, size, size)).astype(dtype)
+        k = Tensor(rng.standard_normal((channels, kernels, 4, 4)).astype(dtype),
+                   requires_grad=True)
+        y = ad.conv_transpose2d(Tensor(x), k, 2, 1)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        ad.tsum(ad.mul(y, Tensor(g))).backward()
+        assert k.grad.dtype == dtype and k.grad.flags.c_contiguous
+        assert np.array_equal(k.grad, conv2d_kernel_grad_channel_major(g, x, 4, 4, 2, 1))
+
     @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
     def test_kernel_gradient_reads_the_input_of_the_forward_pass(self, transpose):
         # the backward pass rebuilds its columns from the input array the
@@ -420,7 +439,8 @@ _OPS = {
     "dense": ([(3, 4), (4, 2), (2,)], lambda x, w, b: ad.mean(ad.dense(x, w, b)), (-1, 1)),
     "channel-bias": ([(2, 3, 4, 4), (3,)],
                      lambda x, b: ad.mean(ad.add_channel_bias(x, b)), (-1, 1)),
-    # more output pixels than kernels: the kernel route of _tap_gemm
+    # conv2d's input gradient takes _correlate_adjoint's kernel route when
+    # there are more output pixels than kernels
     "conv2d-kernel-route": ([(2, 3, 8, 8), (5, 3, 4, 4)],
                             lambda x, k: ad.mean(ad.conv2d(x, k, 2, 1)), (-1, 1)),
     # fewer output pixels than kernels: the product route
@@ -429,6 +449,8 @@ _OPS = {
     # a 3x3 kernel at stride 2 is zero-padded to 4x4 in the scatter
     "conv2d-k3-s2": ([(2, 3, 7, 7), (4, 3, 3, 3)],
                      lambda x, k: ad.mean(ad.conv2d(x, k, 2, 0)), (-1, 1)),
+    # conv_transpose2d's forward pass takes the kernel route when there are
+    # more input pixels than input channels, and the product route otherwise
     "conv_transpose2d-kernel-route": ([(2, 5, 3, 3), (5, 3, 4, 4)],
                                       lambda x, k: ad.mean(ad.conv_transpose2d(x, k, 2, 1)),
                                       (-1, 1)),

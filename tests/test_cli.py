@@ -67,6 +67,11 @@ def small_corpus(tmp_path, test_size=16, missing=False):
     return data
 
 
+# learning rates and loss weights that parse as floats but are not finite
+NON_FINITE = [["--lr", "nan"], ["--lr", "inf"], ["--lr", "1e400"], ["--lambda", "nan"],
+              ["--lambda", "inf"]]
+
+
 def assert_failed_without_output(rc, code, kind, capsys, out, *words):
     """``rc`` is ``code``, stderr is one ``aift: <kind>`` line, and ``out`` was never made."""
     assert rc == code
@@ -494,6 +499,12 @@ class TestTrain:
         rc = main(["train", "--data", str(corpus), *setting, "--out", str(out)])
         assert_failed_without_output(rc, 2, "configuration error", capsys, out, "-3")
 
+    @pytest.mark.parametrize("setting", NON_FINITE, ids=" ".join)
+    def test_non_finite_setting_is_config_error(self, setting, corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(corpus), *setting, "--out", str(out)])
+        assert_failed_without_output(rc, 2, "configuration error", capsys, out)
+
 
 class TestTransform:
     def test_panels_written_and_consistent(self, ckpt, tmp_path):
@@ -531,6 +542,16 @@ class TestTransform:
         rc = main(["transform", "--ckpt", str(bad), "--image", str(img_path),
                    "--out", str(tmp_path / "run")])
         assert rc == 4
+
+    def test_name_that_is_not_utf8_is_integrity_error(self, ckpt, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.index(b"gen.enc.0.w")] = 0xFF
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "run"
+        rc = main(["detect", "--ckpt", str(bad), "--image", str(patch_image(tmp_path)),
+                   "--out", str(out)])
+        assert_failed_without_output(rc, 4, "integrity error", capsys, out)
 
     @pytest.mark.parametrize("command", ["transform", "detect"])
     def test_missing_checkpoint_is_input_error(self, command, tmp_path, capsys):
@@ -851,7 +872,7 @@ class TestAblation:
                    "--loss-modes", "re,nope", "--out", str(tmp_path / "run")])
         assert rc == 2
 
-    @pytest.mark.parametrize("setting", [["--lr", "-1"], ["--epochs", "0"]])
+    @pytest.mark.parametrize("setting", [["--lr", "-1"], ["--epochs", "0"]] + NON_FINITE)
     def test_bad_train_setting_leaves_no_directory(self, setting, corpus, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["ablation", "--data", str(corpus), "--seeds", "0", *setting,

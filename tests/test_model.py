@@ -158,6 +158,15 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
 
+    def test_rejects_a_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_params(), path)
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"gen.enc.0.w")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError):
+            load_checkpoint(path)
+
     def test_layer_plan_matches_tensor_listing(self):
         p = init_params(32, 0, base_channels=8)
         assert [(n, t.shape) for n, t in p.tensors.items()] == _layer_plan(32, 8)

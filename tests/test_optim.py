@@ -79,6 +79,9 @@ def test_rejects_bad_settings():
     p = Tensor([0.0], requires_grad=True)
     with pytest.raises(ConfigurationError):
         Adam([p], lr=-1.0)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            Adam([p], lr=lr)
     with pytest.raises(ConfigurationError):
         Adam([p], beta1=1.0)
     with pytest.raises(ConfigurationError):

@@ -131,7 +131,9 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0), dict(lam=-0.1),
                                     dict(critic_iters=0), dict(loss_mode="wgan"),
-                                    dict(seed=-1), dict(lr=0.0)])
+                                    dict(seed=-1), dict(lr=0.0), dict(lr=float("nan")),
+                                    dict(lr=float("inf")), dict(lam=float("nan")),
+                                    dict(lam=float("inf"))])
     def test_rejects_invalid(self, kw):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kw).validate()
@@ -211,6 +213,26 @@ class TestTrainStep:
         g_opt.step()
         value_after = objective().item()
         assert value_after <= value_before + 1e-9
+
+    @pytest.mark.parametrize("mode", ["total", "re"])
+    def test_no_gradient_is_written_in_place(self, mode, monkeypatch):
+        # a first gradient is stored without a copy, so one array can be the
+        # .grad of several tensors and the gradient of an interior node too;
+        # a stored gradient made read-only raises on any write into it
+        accumulate = ad._accumulate
+
+        def read_only(tensor, grad):
+            accumulate(tensor, grad)
+            if tensor.grad is not None:
+                tensor.grad.flags.writeable = False
+
+        monkeypatch.setattr(ad, "_accumulate", read_only)
+        images, freqs = toy_batch()
+        params = init_params(16, 0, base_channels=4)
+        cfg = _fresh(mode)
+        g_opt, d_opt = _opts(params, cfg)
+        train_step(params, (images, freqs), cfg, g_opt, d_opt)
+        assert all(not t.grad.flags.writeable for t in params.generator_tensors().values())
 
     def test_aborts_on_non_finite_input(self):
         images, freqs = toy_batch()
