@@ -7,8 +7,7 @@ scores defects by how badly a patch survives regeneration.
 
 __version__ = "0.1.0"
 
-from .autodiff import (Tensor, add_channel_bias, conv2d, conv_transpose2d,
-                       dense, no_grad)
+from .autodiff import Tensor, conv2d, conv_transpose2d, dense, no_grad
 from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
                    load_image, normalize_patch, read_pgm, synth_corpus,
                    write_pgm)

@@ -6,18 +6,21 @@ and, when gradients are enabled, records a backward closure plus references
 to its parents.  Calling ``backward()`` on a scalar replays those closures in
 exact reverse creation order (a global monotonically increasing id doubles
 as the tape position), accumulating ``.grad`` arrays on every tensor that
-requires gradients.  The recorded graph is released afterwards so that a
-tensor can be reused as a fresh leaf.
+requires gradients.  Each node's graph and gradient are released as soon
+as its closure has run, so the activations behind a loss are freed while
+its gradients are built, and a tensor can be reused as a fresh leaf.
 
 Only the operations needed by the models in this package are provided.
-Shapes are checked strictly: apart from the explicit bias-add helpers there
-is no broadcasting.
+Shapes are checked strictly: apart from the bias of the dense and conv
+layers there is no broadcasting.
 
 A transposed convolution is a convolution's input gradient, so conv2d and
-conv_transpose2d share three array kernels.  A conv node holds its input
-array and its kernel, which the graph keeps anyway, and no column matrix;
-the backward pass rebuilds the columns of the kernel gradient, which costs
-a copy per step but cuts a training step's peak memory by about a third.
+conv_transpose2d share three array kernels.  A conv op adds its layer's
+bias itself, so a layer keeps one output map, not a pre-bias copy too.  It
+holds its input array and its kernel, which the graph keeps anyway, and no
+column matrix; the backward pass rebuilds the columns of the kernel
+gradient, which costs a copy per step but cuts a training step's peak
+memory by about a third.
 
 Dtypes follow the data.  A tensor keeps float32 or float64 values as given
 (anything else becomes float64), every buffer an operation allocates takes
@@ -98,8 +101,9 @@ class Tensor:
         """Accumulate gradients of this scalar with respect to all leaves.
 
         Closures run in exact reverse insertion order, so the result is
-        deterministic for a deterministic forward pass.  The graph reachable
-        from this tensor is dismantled afterwards.
+        deterministic for a deterministic forward pass.  Each node is
+        dropped once its closure has run (no pending closure reads it), so
+        only the caller's references keep its data alive from then on.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -118,10 +122,11 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad:
                     stack.append(parent)
-        nodes.sort(key=lambda n: n._tape_id, reverse=True)
+        nodes.sort(key=lambda n: n._tape_id)
 
         self.grad = np.ones_like(self.data)
-        for node in nodes:
+        while nodes:
+            node = nodes.pop()
             if node._backward is not None:
                 node._backward(node.grad)
                 # interior nodes will not be revisited; release graph + grad
@@ -366,24 +371,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), backward)
 
 
-def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias [C] to a feature map [N, C, H, W].
-
-    This is the only broadcast the engine performs.
-    """
-    if x.data.ndim != 4:
-        raise DimensionError(f"add_channel_bias expects [N, C, H, W], got {x.shape}")
-    if b.data.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise DimensionError(f"bias must have shape ({x.shape[1]},), got {b.shape}")
-    out = x.data + b.data[None, :, None, None]
-
-    def backward(g):
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=(0, 2, 3)))
-
-    return _record(out, (x, b), backward)
-
-
 # -- convolution --------------------------------------------------------------
 
 
@@ -408,38 +395,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
         writeable=False)
 
 
-def _scatter_taps(taps: np.ndarray, stride: int, full_h: int, full_w: int) -> np.ndarray:
-    """Inverse of _im2col up to summation: add every window entry back at the
-    padded position it was read from.  ``taps`` is [N, Ho, Wo, kh, kw, C];
-    the sum is built channel-last and returned as an [N, C, full_h, full_w]
-    view.
-
-    Tap i = stride * di + a only ever lands on rows of phase a, so with the
-    buffer viewed as [N, rows/stride, stride, cols/stride, stride, C] all
-    stride**2 phases of one (di, dj) go in with a single add.  Every element
-    still receives its taps in i-major order; the zero taps that pad a
-    kernel to a multiple of the stride add +0.0, which changes no sum.
-    """
-    n, ho, wo, kh, kw, c = taps.shape
-    s = stride
-    th, tw = -(-kh // s), -(-kw // s)
-    if th * s != kh or tw * s != kw:
-        padded = np.zeros((n, ho, wo, th * s, tw * s, c), dtype=taps.dtype)
-        padded[:, :, :, :kh, :kw] = taps
-        taps = padded
-    # [N, di, dj, Ho, phase a, Wo, phase b, C]
-    taps = taps.reshape(n, ho, wo, th, s, tw, s, c).transpose(0, 3, 5, 1, 4, 2, 6, 7)
-    # at least full_h x full_w: conv2d's input can end in rows no window reads
-    hh = max(ho + th - 1, -(-full_h // s))
-    ww = max(wo + tw - 1, -(-full_w // s))
-    out = np.zeros((n, hh, s, ww, s, c), dtype=taps.dtype)
-    for di in range(th):
-        for dj in range(tw):
-            out[:, di:di + ho, :, dj:dj + wo] += taps[:, di, dj]
-    out = out.reshape(n, hh * s, ww * s, c)[:, :full_h, :full_w]
-    return out.transpose(0, 3, 1, 2)
-
-
 def _pixel_rows(x: np.ndarray) -> np.ndarray:
     """x [N, C, H, W] as a contiguous [N * H * W, C] matrix."""
     n, c, h, w = x.shape
@@ -462,26 +417,49 @@ def _correlate_adjoint(y: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride
     ``padding``, as an [N, C, full_h - 2 * padding, full_w - 2 * padding]
     view: conv_transpose2d's forward pass and conv2d's input gradient.
 
-    The product comes out tap-major, [rows, kh, kw, C], by one of two routes
-    that differ only in the GEMM's column order, so in no output bit.  The
-    kernel route copies the kernel into tap-major columns and gets a
-    contiguous product.  The product route, taken when the product has
-    fewer rows than the kernel matrix, copies nothing and hands
-    _scatter_taps a transposed view, whose adds then read strided memory:
-    one-patch inference skips copying the 1 MB first decoder kernel, while
-    training batches keep contiguous taps (the product route alone made a
-    batch-50 training step about 15 % slower).
+    Tap (stride * di + a, stride * dj + b) of pixel (i, j) lands at phase
+    (a, b) of cell (i + di, j + dj), so each tap pair (di, dj) adds one
+    contiguous [N, H, W, stride, stride, C] block to a phase-last buffer,
+    which is then copied depth-to-space.  Every element sums its taps in
+    (di, dj) order from +0.0; zero taps that pad the kernel to a multiple of
+    the stride change no sum.  The kernel route copies the kernel tap pair
+    first and runs one GEMM per pair.  The product route, taken when there
+    are fewer rows than kernels, runs one GEMM on the kernel as it is and
+    adds strided views of it, so one-patch inference skips copying the 1 MB
+    first decoder kernel.  The routes differ only in column order, so in no
+    output bit.
     """
     n, _, h, w = y.shape
+    s = stride
     rows = _pixel_rows(y)
+    kk = kmat.shape[0]
     c = kmat.shape[1] // (kh * kw)
-    if rows.shape[0] < kmat.shape[0]:
-        taps = (rows @ kmat).reshape(-1, c, kh, kw).transpose(0, 2, 3, 1)
+    th, tw = -(-kh // s), -(-kw // s)
+    k4 = kmat.reshape(kk, c, kh, kw)
+    if (th * s, tw * s) != (kh, kw):
+        k4 = np.pad(k4, ((0, 0), (0, 0), (0, th * s - kh), (0, tw * s - kw)))
+    k6 = k4.reshape(kk, c, th, s, tw, s)
+    if rows.shape[0] < kk:
+        # [N, H, W, di, dj, a, b, C]
+        taps = (rows @ k6.reshape(kk, -1)).reshape(n, h, w, c, th, s, tw, s)
+        taps = taps.transpose(0, 1, 2, 4, 6, 5, 7, 3)
+
+        def block(di, dj):
+            return taps[:, :, :, di, dj]
     else:
-        kperm = kmat.reshape(-1, c, kh, kw).transpose(0, 2, 3, 1).reshape(-1, kh * kw * c)
-        taps = rows @ kperm
-    full = _scatter_taps(taps.reshape(n, h, w, kh, kw, c), stride, full_h, full_w)
-    return full[:, :, padding:full_h - padding, padding:full_w - padding]
+        kt = np.ascontiguousarray(k6.transpose(2, 4, 0, 3, 5, 1))  # [di, dj, K, a, b, C]
+
+        def block(di, dj):
+            return (rows @ kt[di, dj].reshape(kk, -1)).reshape(n, h, w, s, s, c)
+    # at least full_h x full_w: conv2d's input can end in rows no window reads
+    hh = max(h + th - 1, -(-full_h // s))
+    ww = max(w + tw - 1, -(-full_w // s))
+    out = np.zeros((n, hh, ww, s, s, c), dtype=np.result_type(rows, kmat))
+    for di in range(th):
+        for dj in range(tw):
+            out[:, di:di + h, dj:dj + w] += block(di, dj)
+    out = out.transpose(0, 1, 3, 2, 4, 5).reshape(n, hh * s, ww * s, c)
+    return out[:, padding:full_h - padding, padding:full_w - padding].transpose(0, 3, 1, 2)
 
 
 def _window_grad(win: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -495,7 +473,8 @@ def _window_grad(win: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gk)
 
 
-def _check_conv(x: Tensor, k: Tensor, stride: int, padding: int, transpose: bool) -> None:
+def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, stride: int, padding: int,
+                transpose: bool) -> None:
     op, axes = ("conv_transpose2d", "C, K") if transpose else ("conv2d", "K, C")
     if stride < 1:
         raise DimensionError(f"stride must be >= 1, got {stride}")
@@ -508,14 +487,19 @@ def _check_conv(x: Tensor, k: Tensor, stride: int, padding: int, transpose: bool
     kc = k.shape[0 if transpose else 1]
     if kc != x.shape[1]:
         raise DimensionError(f"{op}: kernel expects {kc} input channels, map has {x.shape[1]}")
+    ko = k.shape[1 if transpose else 0]
+    if bias is not None and (bias.data.ndim != 1 or bias.shape[0] != ko):
+        raise DimensionError(f"bias must have shape ({ko},), got {bias.shape}")
 
 
-def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate x [N, C, H, W] with kernels k [K, C, kh, kw].
+def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None) -> Tensor:
+    """Cross-correlate x [N, C, H, W] with kernels k [K, C, kh, kw], plus a
+    per-channel ``bias`` [K] if given.
 
     Output is [N, K, H', W'] with H' = floor((H + 2 * padding - kh) / stride) + 1.
     """
-    _check_conv(x, k, stride, padding, transpose=False)
+    _check_conv(x, k, bias, stride, padding, transpose=False)
     h, w = x.shape[2:]
     kk, _, kh, kw = k.shape
     full_h, full_w = h + 2 * padding, w + 2 * padding
@@ -526,24 +510,30 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     xd = x.data
     kmat = k.data.reshape(kk, -1)
     out = _correlate(_im2col(xd, kh, kw, stride, padding), kmat)
+    if bias is not None:
+        out = out + bias.data[None, :, None, None]
 
     def backward(g):
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if k.requires_grad:
             _accumulate(k, _window_grad(_im2col(xd, kh, kw, stride, padding), g))
         if x.requires_grad:
             _accumulate(x, _correlate_adjoint(g, kmat, kh, kw, stride, padding, full_h, full_w))
 
-    return _record(out, (x, k), backward)
+    return _record(out, (x, k) if bias is None else (x, k, bias), backward)
 
 
-def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed convolution of x [N, C, H, W] with kernels k [C, K, kh, kw].
+def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
+                     bias: Tensor | None = None) -> Tensor:
+    """Transposed convolution of x [N, C, H, W] with kernels k [C, K, kh, kw],
+    plus a per-channel ``bias`` [K] if given.
 
     Output is [N, K, H', W'] with H' = (H - 1) * stride - 2 * padding + kh.
-    With identical kernel values this operation is the exact adjoint of
-    ``conv2d`` under the Frobenius inner product.
+    With identical kernel values and no bias this operation is the exact
+    adjoint of ``conv2d`` under the Frobenius inner product.
     """
-    _check_conv(x, k, stride, padding, transpose=True)
+    _check_conv(x, k, bias, stride, padding, transpose=True)
     h, w = x.shape[2:]
     c, _, kh, kw = k.shape
     full_h, full_w = (h - 1) * stride + kh, (w - 1) * stride + kw
@@ -554,8 +544,12 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) ->
     xd = x.data
     kmat = k.data.reshape(c, -1)
     out = _correlate_adjoint(xd, kmat, kh, kw, stride, padding, full_h, full_w)
+    # a new array either way, not a view of the larger uncropped sum
+    out = np.ascontiguousarray(out) if bias is None else out + bias.data[None, :, None, None]
 
     def backward(g):
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
         # g's windows line up with x's pixels
         win = _im2col(g, kh, kw, stride, padding)
         if k.requires_grad:
@@ -563,4 +557,4 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) ->
         if x.requires_grad:
             _accumulate(x, _correlate(win, kmat))
 
-    return _record(np.ascontiguousarray(out), (x, k), backward)
+    return _record(out, (x, k) if bias is None else (x, k, bias), backward)

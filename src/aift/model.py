@@ -10,14 +10,15 @@ sigmoid likelihood.
 The model computes and stores in float32: parameters are float32 tensors,
 and a plain input batch is cast to the parameters' dtype on the way in.
 Checkpoints are a small self-describing binary format (magic ``AIFT``,
-version, metadata, then named float32 tensors, all little-endian), so a
-trained model and its checkpoint hold the same bits.  Loading a checkpoint
-and saving it again reproduces the file byte for byte.
+version, metadata, named float32 tensors and a CRC32, all little-endian),
+so a trained model and its checkpoint hold the same bits.  Loading a
+current-version checkpoint and saving it again gives the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ DOMAINS = ("image", "frequency")
 MODEL_DTYPE = np.float32
 
 _MAGIC = b"AIFT"
-_VERSION = 1
+_VERSION = 2  # version 1 had no checksum; it still loads
 
 
 @dataclass
@@ -140,8 +141,7 @@ def _run_conv_stack(params: AiftParams, x: Tensor, prefix: str) -> Tensor:
     for i in range(N_STAGES):
         w = params.tensors[f"{prefix}.{i}.w"]
         b = params.tensors[f"{prefix}.{i}.b"]
-        h = ad.conv2d(h, w, stride=2, padding=1)
-        h = ad.leaky_relu(ad.add_channel_bias(h, b), _LEAK)
+        h = ad.leaky_relu(ad.conv2d(h, w, stride=2, padding=1, bias=b), _LEAK)
     return h
 
 
@@ -155,8 +155,7 @@ def generate(params: AiftParams, x: Tensor, direction: str) -> Tensor:
     for i in range(N_STAGES):
         w = params.tensors[f"{head}.{i}.w"]
         b = params.tensors[f"{head}.{i}.b"]
-        h = ad.conv_transpose2d(h, w, stride=2, padding=1)
-        h = ad.add_channel_bias(h, b)
+        h = ad.conv_transpose2d(h, w, stride=2, padding=1, bias=b)
         h = ad.sigmoid(h) if i == N_STAGES - 1 else ad.leaky_relu(h, _LEAK)
     return h
 
@@ -177,7 +176,7 @@ def discriminate(params: AiftParams, x: Tensor, domain: str) -> Tensor:
 
 
 def save_checkpoint(params: AiftParams, path) -> None:
-    """Serialize parameters as little-endian float32 tensors."""
+    """Serialize parameters as little-endian float32 tensors and a CRC32."""
     chans = params.stage_channels()
     blob = bytearray()
     blob += _MAGIC
@@ -196,6 +195,7 @@ def save_checkpoint(params: AiftParams, path) -> None:
         if shape:
             blob += struct.pack(f"<{len(shape)}I", *shape)
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
+    blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
 
@@ -204,9 +204,10 @@ class _Reader:
     def __init__(self, buf: bytes):
         self.buf = buf
         self.pos = 0
+        self.end = len(buf)
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+        if self.pos + n > self.end:
             raise IntegrityError("checkpoint truncated")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
@@ -216,15 +217,15 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def done(self) -> bool:
-        return self.pos == len(self.buf)
+        return self.pos == self.end
 
 
 def load_checkpoint(path) -> AiftParams:
     """Read a checkpoint back into trainable float32 tensors, bit for bit.
 
     Raises InputError when the file cannot be read, and IntegrityError on a
-    bad magic, unknown version, trailing bytes or a tensor listing that does
-    not match the declared architecture.
+    bad magic, unknown version, checksum mismatch, trailing bytes or a
+    tensor listing that does not match the declared architecture.
     """
     try:
         with open(path, "rb") as fh:
@@ -234,8 +235,12 @@ def load_checkpoint(path) -> AiftParams:
     if reader.take(4) != _MAGIC:
         raise IntegrityError(f"not a model checkpoint: {path}")
     (version,) = reader.unpack("<H")
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise IntegrityError(f"unsupported checkpoint version {version}")
+    if version == _VERSION:
+        reader.end, (crc,) = len(reader.buf) - 4, struct.unpack("<I", reader.buf[-4:])
+        if reader.end < reader.pos or zlib.crc32(memoryview(reader.buf)[:reader.end]) != crc:
+            raise IntegrityError(f"checkpoint checksum mismatch: {path}")
     (patch_size,) = reader.unpack("<I")
     (seed,) = reader.unpack("<Q")
     (n_chans,) = reader.unpack("<I")

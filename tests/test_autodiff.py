@@ -1,6 +1,7 @@
 """Gradient and shape checks for the autodiff engine."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,22 @@ RNG = np.random.default_rng(20240811)
 
 def _t(*shape, lo=-1.0, hi=1.0):
     return Tensor(RNG.uniform(lo, hi, shape), requires_grad=True)
+
+
+def _tap_major(x, k, stride, padding):
+    """oracles.conv_transpose2d_tap_major, summed in the inputs' dtype.
+
+    The oracle sums its float32 taps in float64.  Run with a kernel that
+    keeps only tap (u, v), it returns that tap's term alone, exactly; the
+    terms are then added in the oracle's tap order in the inputs' dtype."""
+    if x.dtype == np.float64:
+        return conv_transpose2d_tap_major(x, k, stride, padding)
+    out = 0.0
+    for u, v in np.ndindex(*k.shape[2:]):
+        one = np.zeros_like(k)
+        one[:, :, u, v] = k[:, :, u, v]
+        out = out + conv_transpose2d_tap_major(x, one, stride, padding).astype(x.dtype)
+    return out
 
 
 class TestForwardValues:
@@ -200,28 +217,31 @@ class TestGradChecks:
         x = _t(2, 3, 2, 2)
         check_gradients(lambda: ad.mean(ad.flatten(x)), [x])
 
-    def test_add_channel_bias(self):
-        x = _t(2, 3, 4, 4)
-        b = _t(3)
-        check_gradients(lambda: ad.mean(ad.add_channel_bias(x, b)), [x, b])
-
     # 9x9 with a 4x4 kernel at stride 2 leaves a last row and column that no
     # window reads; their gradient is zero but must still be there
-    @pytest.mark.parametrize("stride,padding,size,ksize",
-                             [(1, 0, 6, 3), (1, 1, 6, 3), (2, 1, 6, 3), (2, 0, 6, 3),
-                              (3, 2, 6, 3), (2, 0, 9, 4), (1, 0, 4, 4)],
+    @pytest.mark.parametrize("stride,padding,size,ksize,bias",
+                             [(1, 0, 6, 3, False), (1, 1, 6, 3, False), (2, 1, 6, 3, False),
+                              (2, 0, 6, 3, False), (3, 2, 6, 3, False), (2, 0, 9, 4, False),
+                              (1, 0, 4, 4, False), (2, 1, 6, 3, True), (2, 0, 9, 4, True)],
                              ids=["1-0", "1-1", "2-1", "2-0", "3-2", "2-0-9x9-k4",
-                                  "1-0-4x4-k4"])
-    def test_conv2d_gradients(self, stride, padding, size, ksize):
+                                  "1-0-4x4-k4", "2-1-bias", "2-0-9x9-k4-bias"])
+    def test_conv2d_gradients(self, stride, padding, size, ksize, bias):
         x = _t(2, 2, size, size)
         k = _t(3, 2, ksize, ksize)
-        check_gradients(lambda: ad.mean(ad.conv2d(x, k, stride, padding)), [x, k])
+        b = _t(3) if bias else None
+        check_gradients(lambda: ad.mean(ad.conv2d(x, k, stride, padding, bias=b)),
+                        [x, k, b] if bias else [x, k])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (3, 1)])
-    def test_conv_transpose2d_gradients(self, stride, padding):
+    @pytest.mark.parametrize("stride,padding,bias",
+                             [(1, 0, False), (2, 1, False), (2, 0, False), (3, 1, False),
+                              (2, 1, True), (3, 1, True)],
+                             ids=["1-0", "2-1", "2-0", "3-1", "2-1-bias", "3-1-bias"])
+    def test_conv_transpose2d_gradients(self, stride, padding, bias):
         x = _t(2, 3, 3, 3)
         k = _t(3, 2, 4, 4)
-        check_gradients(lambda: ad.mean(ad.conv_transpose2d(x, k, stride, padding)), [x, k])
+        b = _t(2) if bias else None
+        check_gradients(lambda: ad.mean(ad.conv_transpose2d(x, k, stride, padding, bias=b)),
+                        [x, k, b] if bias else [x, k])
 
     def test_two_layer_composite(self):
         x = _t(2, 1, 8, 8)
@@ -230,7 +250,7 @@ class TestGradChecks:
         k2 = _t(4, 2, 4, 4)
 
         def forward():
-            h = ad.leaky_relu(ad.add_channel_bias(ad.conv2d(x, k1, 2, 1), b1), 0.2)
+            h = ad.leaky_relu(ad.conv2d(x, k1, 2, 1, bias=b1), 0.2)
             return ad.mean(ad.sigmoid(ad.conv_transpose2d(h, k2, 2, 1)))
 
         check_gradients(forward, [x, k1, b1, k2])
@@ -260,34 +280,48 @@ class TestConvolutionValues:
         slow = conv_transpose2d_loops(x, k, stride, padding)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
-    # the last case has fewer GEMM rows (pixels) than input channels, as in
-    # the first decoder layer at batch 1
-    @pytest.mark.parametrize("shape,ksize,stride,padding",
-                             [((2, 3, 4, 5), 4, 2, 1), ((2, 3, 4, 5), 3, 2, 0),
-                              ((2, 3, 4, 5), 4, 3, 1), ((1, 8, 1, 2), 4, 2, 1)],
-                             ids=["k4-s2", "k3-s2", "k4-s3", "1x2-c8"])
-    def test_conv_transpose2d_bit_for_bit(self, shape, ksize, stride, padding):
-        rng = np.random.default_rng(2100 + ksize * 10 + stride)
-        x = rng.standard_normal(shape)
-        k = rng.standard_normal((shape[1], 3, ksize, ksize))
+    # "1x2-c8" has fewer GEMM rows (pixels) than input channels, as does the
+    # first decoder layer at batch 1 ("dec0"); the last decoder layer
+    # ("dec3") takes the kernel route at either batch size
+    @pytest.mark.parametrize("shape,kernels,ksize,stride,padding,dtype",
+                             [((2, 3, 4, 5), 3, 4, 2, 1, np.float64),
+                              ((2, 3, 4, 5), 3, 3, 2, 0, np.float64),
+                              ((2, 3, 4, 5), 3, 4, 3, 1, np.float64),
+                              ((1, 8, 1, 2), 3, 4, 2, 1, np.float64),
+                              ((1, 128, 2, 2), 64, 4, 2, 1, np.float32),
+                              ((1, 16, 16, 16), 1, 4, 2, 1, np.float32),
+                              ((50, 16, 16, 16), 1, 4, 2, 1, np.float32)],
+                             ids=["k4-s2", "k3-s2", "k4-s3", "1x2-c8", "dec0-b1-float32",
+                                  "dec3-b1-float32", "dec3-b50-float32"])
+    def test_conv_transpose2d_bit_for_bit(self, shape, kernels, ksize, stride, padding, dtype):
+        rng = np.random.default_rng(2100 + ksize * 10 + stride + kernels - 3)
+        x = rng.standard_normal(shape).astype(dtype)
+        k = rng.standard_normal((shape[1], kernels, ksize, ksize)).astype(dtype)
         fast = ad.conv_transpose2d(Tensor(x), Tensor(k), stride, padding).data
-        assert np.array_equal(fast, conv_transpose2d_tap_major(x, k, stride, padding))
+        assert fast.dtype == dtype
+        assert np.array_equal(fast, _tap_major(x, k, stride, padding))
 
-    # the last case has fewer GEMM rows (output pixels) than kernels
-    @pytest.mark.parametrize("batch,size,kernels,stride,padding",
-                             [(2, 8, 5, 2, 1), (2, 8, 5, 1, 0), (1, 4, 40, 2, 1)],
-                             ids=["2-1", "1-0", "few-rows"])
-    def test_conv2d_input_gradient_bit_for_bit(self, batch, size, kernels, stride, padding):
+    # "few-rows" has fewer GEMM rows (output pixels) than kernels; "trunk1" is
+    # the discriminator's 16 -> 32 channel layer at batch 50
+    @pytest.mark.parametrize("batch,channels,size,kernels,stride,padding,dtype",
+                             [(2, 3, 8, 5, 2, 1, np.float64), (2, 3, 8, 5, 1, 0, np.float64),
+                              (1, 3, 4, 40, 2, 1, np.float64),
+                              (50, 16, 16, 32, 2, 1, np.float32)],
+                             ids=["2-1", "1-0", "few-rows", "trunk1-b50-float32"])
+    def test_conv2d_input_gradient_bit_for_bit(self, batch, channels, size, kernels, stride,
+                                               padding, dtype):
         # the input gradient is the transposed convolution of the output
         # gradient with the same kernel; every case has size - 4 + 2 * padding
         # divisible by the stride, so every input row is read by some window
         rng = np.random.default_rng(2200 + kernels + stride)
-        x = Tensor(rng.standard_normal((batch, 3, size, size)), requires_grad=True)
-        k = rng.standard_normal((kernels, 3, 4, 4))
+        x = Tensor(rng.standard_normal((batch, channels, size, size)).astype(dtype),
+                   requires_grad=True)
+        k = rng.standard_normal((kernels, channels, 4, 4)).astype(dtype)
         y = ad.conv2d(x, Tensor(k), stride, padding)
-        g = rng.standard_normal(y.shape)
+        g = rng.standard_normal(y.shape).astype(dtype)
         ad.tsum(ad.mul(y, Tensor(g))).backward()
-        assert np.array_equal(x.grad, conv_transpose2d_tap_major(g, k, stride, padding))
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, _tap_major(g, k, stride, padding))
 
     # the model's conv2d layers: 4x4 kernels at stride 2 with padding 1, on
     # the stage shapes of a 32 px patch; one output channel is the smallest case
@@ -370,6 +404,15 @@ class TestConvolutionValues:
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((3, 1, 3, 3))))
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
+    @pytest.mark.parametrize("bias_shape", [(2,), (3, 1), ()], ids=["length", "rank-2", "rank-0"])
+    def test_bias_must_have_one_value_per_output_channel(self, transpose, bias_shape):
+        # three output channels either way
+        op, kshape = (ad.conv_transpose2d, (1, 3, 2, 2)) if transpose else (ad.conv2d, (3, 1, 2, 2))
+        with pytest.raises(DimensionError, match=r"bias must have shape \(3,\)"):
+            op(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(kshape)),
+               bias=Tensor(np.zeros(bias_shape)))
+
     def test_kernel_larger_than_input(self):
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
@@ -377,14 +420,17 @@ class TestConvolutionValues:
 
 class TestGraphMemory:
     """A conv node keeps its input array and its kernel, which the graph
-    holds anyway; it keeps no column matrix and no copy of its input."""
+    holds anyway; it keeps no column matrix and no copy of its input, and
+    with a bias no pre-bias copy of its output."""
 
     @staticmethod
-    def _held_bytes(op, x, k):
+    def _held_bytes(op, x, k, bias):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            y = op(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), 2, 1)
+            b = Tensor(np.ones(k.shape[1 if op is ad.conv_transpose2d else 0]),
+                       requires_grad=True) if bias else None
+            y = op(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), 2, 1, bias=b)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -392,16 +438,40 @@ class TestGraphMemory:
 
     def test_conv2d_holds_only_its_output(self):
         rng = np.random.default_rng(2500)
-        held, out = self._held_bytes(ad.conv2d, rng.standard_normal((8, 16, 16, 16)),
-                                     rng.standard_normal((32, 16, 4, 4)))
-        assert held <= out + 8192, (held, out)
+        x, k = rng.standard_normal((8, 16, 16, 16)), rng.standard_normal((32, 16, 4, 4))
+        for bias in (False, True):
+            held, out = self._held_bytes(ad.conv2d, x, k, bias)
+            assert held <= out + 8192, (bias, held, out)
 
     def test_conv_transpose2d_holds_only_its_output(self):
         # a [N, C, H, W] input is not channel-last, so its GEMM rows are a copy
         rng = np.random.default_rng(2501)
-        held, out = self._held_bytes(ad.conv_transpose2d, rng.standard_normal((8, 16, 8, 8)),
-                                     rng.standard_normal((16, 8, 4, 4)))
-        assert held <= out + 8192, (held, out)
+        x, k = rng.standard_normal((8, 16, 8, 8)), rng.standard_normal((16, 8, 4, 4))
+        for bias in (False, True):
+            held, out = self._held_bytes(ad.conv_transpose2d, x, k, bias)
+            assert held <= out + 8192, (bias, held, out)
+
+    def test_backward_frees_later_activations_before_earlier_closures(self):
+        # a chain of 1 MB activations: by the time the bottom node's closure
+        # runs, every activation above it has been differentiated and must
+        # be gone, so the graph's memory falls while backward runs
+        x = Tensor(np.ones((128, 1024)), requires_grad=True)
+        dead = []
+
+        def bottom_backward(g):
+            alive = sum(ref() is not None for ref in dead)
+            assert alive == 0, f"{alive} of {len(dead)} later activations still alive"
+            ad._accumulate(x, g)
+
+        h = ad._record(x.data * 1.0, (x,), bottom_backward)
+        for _ in range(4):
+            for op in (lambda t: ad.mul_scalar(t, 0.5), ad.tanh):
+                h = op(h)
+                dead.append(weakref.ref(h.data))
+        loss = ad.mean(h)
+        del h
+        loss.backward()
+        np.testing.assert_allclose(x.grad, np.full(x.shape, x.grad[0, 0]))
 
 
 def _kernel_grad_loops(x, g, kshape, stride, padding, transpose):
@@ -437,8 +507,11 @@ _OPS = {
     "clip": ([(5,)], lambda a: ad.mean(ad.clip(a, -0.5, 0.5)), (-1, 1)),
     "flatten": ([(2, 3, 2)], lambda a: ad.mean(ad.flatten(a)), (-1, 1)),
     "dense": ([(3, 4), (4, 2), (2,)], lambda x, w, b: ad.mean(ad.dense(x, w, b)), (-1, 1)),
-    "channel-bias": ([(2, 3, 4, 4), (3,)],
-                     lambda x, b: ad.mean(ad.add_channel_bias(x, b)), (-1, 1)),
+    "conv2d-bias": ([(2, 3, 8, 8), (5, 3, 4, 4), (5,)],
+                    lambda x, k, b: ad.mean(ad.conv2d(x, k, 2, 1, bias=b)), (-1, 1)),
+    "conv_transpose2d-bias": ([(2, 5, 3, 3), (5, 3, 4, 4), (3,)],
+                              lambda x, k, b: ad.mean(ad.conv_transpose2d(x, k, 2, 1, bias=b)),
+                              (-1, 1)),
     # conv2d's input gradient takes _correlate_adjoint's kernel route when
     # there are more output pixels than kernels
     "conv2d-kernel-route": ([(2, 3, 8, 8), (5, 3, 4, 4)],

@@ -553,6 +553,17 @@ class TestTransform:
                    "--out", str(out)])
         assert_failed_without_output(rc, 4, "integrity error", capsys, out)
 
+    def test_flipped_weight_byte_is_integrity_error(self, ckpt, tmp_path, capsys):
+        # one byte of gen.enc.0.w's float data, found past its name, rank and shape
+        bad = tmp_path / "bad.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.index(b"gen.enc.0.w") + len("gen.enc.0.w") + 4 + 4 * 4] ^= 0x7F
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "run"
+        rc = main(["detect", "--ckpt", str(bad), "--image", str(patch_image(tmp_path)),
+                   "--out", str(out)])
+        assert_failed_without_output(rc, 4, "integrity error", capsys, out, "checksum")
+
     @pytest.mark.parametrize("command", ["transform", "detect"])
     def test_missing_checkpoint_is_input_error(self, command, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,5 +1,8 @@
 """Model wiring: shapes, sharing, deterministic init, checkpoint format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,11 @@ import aift.autodiff as ad
 
 def small_params(seed=0):
     return init_params(16, seed, base_channels=4)
+
+
+def seal(body):
+    """A version-2 checkpoint body with its CRC32 appended."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
 class TestInit:
@@ -154,8 +162,8 @@ class TestCheckpoint:
         p = small_params()
         path = tmp_path / "m.ckpt"
         save_checkpoint(p, path)
-        path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(IntegrityError):
+        path.write_bytes(seal(path.read_bytes()[:-4] + b"x"))
+        with pytest.raises(IntegrityError, match="trailing"):
             load_checkpoint(path)
 
     def test_rejects_a_name_that_is_not_utf8(self, tmp_path):
@@ -163,9 +171,35 @@ class TestCheckpoint:
         save_checkpoint(small_params(), path)
         blob = bytearray(path.read_bytes())
         blob[blob.index(b"gen.enc.0.w")] = 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(IntegrityError):
+        path.write_bytes(seal(blob[:-4]))
+        with pytest.raises(IntegrityError, match="listing"):
             load_checkpoint(path)
+
+    def test_rejects_a_flipped_data_byte(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_params(), path)
+        blob = bytearray(path.read_bytes())
+        # one byte of gen.enc.0.w's float data, past its name, rank and shape
+        blob[blob.index(b"gen.enc.0.w") + len("gen.enc.0.w") + 4 + 4 * 4] ^= 0x7F
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_version_1_without_checksum_still_loads(self, tmp_path):
+        p = small_params(4)
+        v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
+        save_checkpoint(p, v2)
+        blob = bytearray(v2.read_bytes()[:-4])
+        assert struct.unpack_from("<H", blob, 4) == (2,)
+        struct.pack_into("<H", blob, 4, 1)
+        v1.write_bytes(bytes(blob))
+        q = load_checkpoint(v1)
+        assert (q.patch_size, q.base_channels, q.seed) == (16, 4, 4)
+        for name, t in p.tensors.items():
+            np.testing.assert_array_equal(q.tensors[name].data, t.data)
+        # saving it again writes the current version
+        save_checkpoint(q, v1)
+        assert v1.read_bytes() == v2.read_bytes()
 
     def test_layer_plan_matches_tensor_listing(self):
         p = init_params(32, 0, base_channels=8)
