@@ -104,14 +104,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_train_knobs(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--batch", type=int, default=64)
-    sub.add_argument("--lambda", dest="lambda", type=float, default=0.1,
+    sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    sub.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    sub.add_argument("--lambda", dest="lambda", type=float, default=TrainConfig.lam,
                      help="reconstruction weight in the total loss")
-    sub.add_argument("--critic-iters", type=int, default=10,
+    sub.add_argument("--critic-iters", type=int, default=TrainConfig.critic_iters,
                      help="discriminator updates per generator update")
-    sub.add_argument("--lr", type=float, default=2e-4)
-    sub.add_argument("--base-channels", type=int, default=32,
+    sub.add_argument("--lr", type=float, default=TrainConfig.lr)
+    sub.add_argument("--base-channels", type=int, default=TrainConfig.base_channels,
                      help="channel width of the first conv stage")
     sub.add_argument("--patch-size", type=int, default=0,
                      help="0 infers the size from the first training image")
@@ -131,7 +131,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="number of normal training patches")
     s.add_argument("--defect", type=int, required=True,
                    help="number of defect test patches (matched by as many normal test patches)")
-    s.add_argument("--patch-size", type=int, default=32)
+    s.add_argument("--patch-size", type=int, default=SynthConfig.patch_size)
     _add_seed(s)
     _add_common(s)
 
@@ -437,6 +437,13 @@ def cmd_detect(args: argparse.Namespace) -> None:
         print(f"scored {len(rows) - 1} image(s) -> {run / 'scores.csv'}")
 
 
+def _check_both_classes(labels, source: str) -> None:
+    """Reject a label set (True for defect) that AUROC cannot rank."""
+    if all(labels) or not any(labels):
+        missing = "normal" if all(labels) else "defect"
+        raise InputError(f"{source}: no {missing} rows; AUROC needs both classes")
+
+
 def _read_scores_csv(path: str):
     p = Path(path)
     if not p.is_file():
@@ -465,9 +472,7 @@ def _read_scores_csv(path: str):
         labels.append(parts[1] == "defect")
     if not scores:
         raise InputError(f"{path}: no score rows")
-    if all(labels) or not any(labels):
-        missing = "normal" if all(labels) else "defect"
-        raise InputError(f"{path}: no {missing} rows; AUROC needs both classes")
+    _check_both_classes(labels, path)
     return np.array(scores), np.array(labels)
 
 
@@ -533,24 +538,19 @@ def cmd_ablation(args: argparse.Namespace) -> None:
     configs = {key: _train_config(args, *key) for key in grid}  # a repeated seed trains once
     manifest = DatasetManifest.load(args.data)
     images, freqs, patch = _load_training_arrays(manifest, args.patch_size)
-    test_split = [(image, e.label == "defect",
-                   read_pgm(manifest.mask_path(e)) > 0.5 if e.mask else None)
-                  for e, image in _test_images(manifest, patch)]
+    tests = _test_images(manifest, patch)
+    labels = np.array([e.label == "defect" for e, _ in tests])
+    _check_both_classes(labels, f"{manifest.root / 'manifest.csv'} test split")
+    seg_gts = [read_pgm(manifest.mask_path(e)) > 0.5 for e, _ in tests if e.mask]
 
     with _run_dir(args) as run:
         cells_of: dict[tuple[str, int], list] = {}
         for key, cfg in configs.items():
             params, _ = train((images, freqs), cfg)
-            scores, labels, seg_maps, seg_gts = [], [], [], []
-            for image, is_defect, gt in test_split:
-                result = detect_full_image(params, image)
-                scores.append(result.image_score)
-                labels.append(is_defect)
-                if gt is not None:
-                    seg_maps.append(result.score_map)
-                    seg_gts.append(gt)
+            results = [detect_full_image(params, image) for _, image in tests]
+            seg_maps = [r.score_map for r, (e, _) in zip(results, tests) if e.mask]
             report = evaluate(seg_maps or None, seg_gts or None,
-                              np.array(scores), np.array(labels))
+                              np.array([r.image_score for r in results]), labels)
             cells_of[key] = [report.auroc, report.aiu, report.ods, report.ois]
             print(f"mode={cfg.loss_mode} seed={cfg.seed} auroc={report.auroc:.4f}", flush=True)
         rows = ["mode,seed,AUROC,AIU,ODS,OIS"]

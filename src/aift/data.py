@@ -1,7 +1,8 @@
 """Image I/O, patch extraction, dataset manifests and the synthetic corpus.
 
-Grayscale PGM (both the ASCII ``P2`` and binary ``P5`` flavors) is the
-canonical format and is parsed and written here without third-party help.
+Grayscale binary PGM (``P5``, 8- or 16-bit) is the canonical format and is
+parsed and written here without third-party help; the ASCII ``P2`` flavor
+is not read.
 PNG input is supported when Pillow is installed; color images collapse to
 luminance with the 0.299/0.587/0.114 weights.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,76 +36,37 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 # -- PGM ------------------------------------------------------------------
 
 
-def _pgm_tokens(buf: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    pos = 0
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            start = pos
-            while pos < n and not buf[pos:pos + 1].isspace() and buf[pos:pos + 1] != b"#":
-                pos += 1
-            yield buf[start:pos].decode("ascii", "replace"), pos
-    yield None, pos
+# P5, then width, height and maxval, each after whitespace or '#' comments
+# that run to their line end; a comment must end at its line end here, or a
+# failed match backtracks exponentially.  One whitespace byte follows maxval.
+_SEPARATOR = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PGM_HEADER = re.compile(rb"P5" + (_SEPARATOR + rb"(\d+)") * 3 + rb"\s")
 
 
 def read_pgm(path) -> np.ndarray:
-    """Parse a PGM file into float64 values scaled to [0, 1]."""
+    """Parse a binary (P5) PGM file into float64 values scaled to [0, 1]."""
     try:
         buf = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    tokens = _pgm_tokens(buf)
-    header: list[str] = []
-    pos = 0
-    while len(header) < 4:
-        token, pos = next(tokens)  # the generator ends on a (None, pos) sentinel
-        if token is None:
-            raise InputError(f"{path}: truncated PGM header")
-        header.append(token)
-    magic = header[0]
-    if magic not in ("P2", "P5"):
-        raise InputError(f"{path}: unsupported magic {magic!r}, expected P2 or P5")
-    try:
-        width, height, maxval = (int(v) for v in header[1:4])
-    except ValueError:
-        raise InputError(f"{path}: non-numeric PGM header fields {header[1:4]}")
+    header = _PGM_HEADER.match(buf)
+    if header is None:
+        magic = buf[:2].decode("ascii", "replace")
+        if magic != "P5":
+            raise InputError(f"{path}: unsupported magic {magic!r}, expected P5")
+        raise InputError(f"{path}: malformed or truncated PGM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise InputError(f"{path}: invalid PGM dimensions {width}x{height} maxval {maxval}")
-
-    count = width * height
-    if magic == "P5":
-        raster = buf[pos + 1:]  # single whitespace byte after maxval
-        if maxval > 255:
-            need = 2 * count
-            if len(raster) < need:
-                raise InputError(f"{path}: truncated raster ({len(raster)} of {need} bytes)")
-            values = np.frombuffer(raster[:need], dtype=">u2")
-        else:
-            if len(raster) < count:
-                raise InputError(f"{path}: truncated raster ({len(raster)} of {count} bytes)")
-            values = np.frombuffer(raster[:count], dtype=np.uint8)
-    else:
-        text = buf[pos:].split(b"#")[0] if b"#" in buf[pos:] else buf[pos:]
-        fields = text.split()
-        if len(fields) < count:
-            raise InputError(f"{path}: truncated raster ({len(fields)} of {count} samples)")
-        try:
-            values = np.array([int(f) for f in fields[:count]], dtype=np.int64)
-        except ValueError:
-            raise InputError(f"{path}: non-numeric sample in P2 raster")
-    values = np.asarray(values, dtype=np.float64)
-    if values.min(initial=0.0) < 0:  # only a P2 raster can hold a sign
-        raise InputError(f"{path}: negative sample in P2 raster")
-    if values.max(initial=0.0) > maxval:
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    need = width * height * dtype.itemsize
+    have = len(buf) - header.end()
+    if have < need:
+        raise InputError(f"{path}: truncated raster ({have} of {need} bytes)")
+    values = np.frombuffer(buf, dtype, width * height, header.end())
+    if values.max() > maxval:
         raise InputError(f"{path}: sample exceeds declared maxval {maxval}")
-    return (values / maxval).reshape(height, width)
+    return (values.astype(np.float64) / maxval).reshape(height, width)
 
 
 def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
@@ -113,6 +76,8 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
         raise InputError(f"write_pgm expects a 2-D array, got shape {image.shape}")
     if maxval not in (255, 65535):
         raise ConfigurationError(f"maxval must be 255 or 65535, got {maxval}")
+    if np.isnan(image).any():
+        raise InputError("write_pgm: image holds NaN")
     levels = np.rint(np.clip(image, 0.0, 1.0) * maxval)
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii")
     body = levels.astype(">u2" if maxval > 255 else np.uint8).tobytes()

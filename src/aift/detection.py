@@ -67,7 +67,7 @@ def detect(params: AiftParams, image: np.ndarray) -> DetectionResult:
     p = params.patch_size
     if image.shape != (p, p):
         raise DimensionError(f"detect expects a ({p}, {p}) patch, got {image.shape}")
-    if np.min(image) < 0.0 or np.max(image) > 1.0:
+    if not (np.min(image) >= 0.0 and np.max(image) <= 1.0):  # also true for NaN
         raise DomainError("detect: image values must lie in [0, 1]; normalize first")
     with no_grad():
         freq = Tensor(spectrum_image(image)[None, None, :, :])
@@ -96,7 +96,7 @@ def detect_full_image(params: AiftParams, image: np.ndarray,
         stride = p
     if not 1 <= stride <= p:
         raise ConfigurationError(f"stride must lie in [1, {p}], got {stride}")
-    if np.min(image) < 0.0 or np.max(image) > 1.0:
+    if not (np.min(image) >= 0.0 and np.max(image) <= 1.0):  # also true for NaN
         raise DomainError("detect_full_image: image values must lie in [0, 1]; normalize first")
 
     acc = np.zeros(image.shape)

@@ -91,8 +91,6 @@ def _layer_plan(patch_size: int, base_channels: int) -> list[tuple[str, tuple[in
 
 
 def _fan_in(name: str, shape: tuple[int, ...]) -> int:
-    if name.endswith(".b"):
-        return 0
     if ".enc." in name or ".trunk." in name:
         return shape[1] * shape[2] * shape[3]
     if ".dec_" in name:

@@ -4,7 +4,7 @@ Standard update with bias correction:
 
     m_t = b1 * m_{t-1} + (1 - b1) * g
     v_t = b2 * v_{t-1} + (1 - b2) * g^2
-    p  -= lr * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + eps)
+    p  -= lr * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + EPS)
 
 A missing gradient counts as an exact zero, so parameters stand still while
 the moment estimates decay.  With lr = 0 the parameter bits do not change.
@@ -19,6 +19,8 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigurationError
 
+EPS = 1e-8  # keeps the step finite where v_t is zero
+
 
 @dataclass
 class AdamState:
@@ -27,7 +29,6 @@ class AdamState:
     lr: float
     beta1: float
     beta2: float
-    eps: float
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -35,7 +36,7 @@ class AdamState:
 
 class Adam:
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999):
         if isinstance(params, dict):
             params = list(params.values())
         self.params: list[Tensor] = list(params)
@@ -47,7 +48,7 @@ class Adam:
             if not 0.0 <= beta < 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {beta}")
         self.state = AdamState(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+            lr=lr, beta1=beta1, beta2=beta2,
             m=[np.zeros_like(p.data) for p in self.params],
             v=[np.zeros_like(p.data) for p in self.params],
         )
@@ -67,5 +68,5 @@ class Adam:
             m += (1.0 - s.beta1) * g
             v *= s.beta2
             v += (1.0 - s.beta2) * (g * g)
-            update = s.lr * (m / c1) / (np.sqrt(v / c2) + s.eps)
+            update = s.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
             p.data = p.data - update

@@ -190,8 +190,8 @@ def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
     d_freq_loss = 0.0
     if mode in ("gan", "total"):
         with no_grad():
-            fake_freq = generate(params, x_image, I2F).detach()
-            fake_image = generate(params, x_freq, F2I).detach()
+            fake_freq = generate(params, x_image, I2F)
+            fake_image = generate(params, x_freq, F2I)
         for _ in range(config.critic_iters):
             d_opt.zero_grad()
             d_image_real = discriminate(params, x_image, "image")
@@ -263,7 +263,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], config: TrainConfig,
             pick = order[s * batch:(s + 1) * batch]
             losses = train_step(params, (images[pick], freqs[pick]), config, g_opt, d_opt)
             sums += (losses.g_loss, losses.d_image_loss, losses.d_freq_loss, losses.recon)
-        means = [float(v) for v in sums / max(steps_per_epoch, 1)]
+        means = [float(v) for v in sums / steps_per_epoch]
         record = EpochRecord(epoch, means[0], means[1], means[2], means[3],
                              time.perf_counter() - started)
         log.records.append(record)

@@ -14,13 +14,13 @@ import pytest
 
 import aift
 from aift import __version__
-from aift.cli import _run_dir, _map_stem, main
+from aift.cli import _map_stem, _parse_args, _run_dir, _train_config, main
 from aift.errors import IntegrityError
-from aift.data import (DatasetManifest, ManifestEntry, read_pgm, write_pgm,
+from aift.data import (DatasetManifest, ManifestEntry, SynthConfig, read_pgm, write_pgm,
                        normalize_patch)
 from aift.model import init_params, save_checkpoint
 from aift.spectral import spectrum_image
-from aift.training import train
+from aift.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,14 @@ class TestArgumentHandling:
         echo = (out / "effective-config.txt").read_text()
         assert "normal = 2" in echo
         assert "seed = 9" in echo
+
+    def test_defaults_come_from_the_config_classes(self):
+        args = _parse_args(["train", "--data", "d", "--out", "o"])
+        assert _train_config(args, args.loss, args.seed) == TrainConfig()
+        args = _parse_args(["ablation", "--data", "d", "--seeds", "0", "--out", "o"])
+        assert _train_config(args, "total", 0) == TrainConfig()
+        args = _parse_args(["synth", "--normal", "1", "--defect", "1", "--out", "o"])
+        assert args.patch_size == SynthConfig.patch_size
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -683,12 +691,12 @@ class TestDetect:
         assert main(["eval", "--scores", str(run / "scores.csv"),
                      "--out", str(tmp_path / "report")]) == 0
 
-    def test_negative_pgm_sample_is_input_error(self, ckpt, tmp_path):
-        image = tmp_path / "neg.pgm"
-        image.write_text("P2\n16 16\n255\n-5" + " 7" * 255 + "\n")
+    def test_ascii_p2_image_is_input_error(self, ckpt, tmp_path):
+        image = tmp_path / "ascii.pgm"
+        image.write_text("P2\n16 16\n255\n" + " 7" * 256 + "\n")
         line = run_module(tmp_path, 3, "detect", "--ckpt", ckpt, "--image", image,
                           "--out", tmp_path / "run")
-        assert line == f"aift: input error: {image}: negative sample in P2 raster"
+        assert line == f"aift: input error: {image}: unsupported magic 'P2', expected P5"
 
     def test_map_stems_are_never_reused(self):
         for paths, expected in (
@@ -914,3 +922,13 @@ class TestAblation:
             ("total", "1"), ("re", "1"), ("total", "0"), ("re", "0"), ("total", "1"), ("re", "1")]
         assert rows[0] == rows[4] and rows[1] == rows[5]
         assert trained == [("total", 1), ("re", 1), ("total", 0), ("re", 0)]
+
+    def test_one_class_test_split_trains_nothing(self, tmp_path, monkeypatch, capsys):
+        trained = []
+        monkeypatch.setattr("aift.cli.train", lambda *a, **k: trained.append(a))
+        data = small_corpus(tmp_path)  # its one test image is normal
+        out = tmp_path / "run"
+        rc = main(["ablation", "--data", str(data), "--seeds", "0", "--out", str(out)])
+        assert_failed_without_output(rc, 3, "input error", capsys, out,
+                                     "no defect rows; AUROC needs both classes")
+        assert trained == []

@@ -1,5 +1,10 @@
 """Image I/O, patch extraction, manifests and the synthetic corpus."""
 
+import contextlib
+import sys
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -44,11 +49,11 @@ class TestPgmIo:
         write_pgm(p2, read_pgm(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_ascii_p2_with_comments(self, tmp_path):
+    def test_ascii_p2_is_unsupported_magic(self, tmp_path):
         path = tmp_path / "ascii.pgm"
         path.write_text("P2 # magic\n# a comment line\n3 2\n10\n0 5 10\n10 5 0\n")
-        img = read_pgm(path)
-        np.testing.assert_allclose(img, [[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]])
+        with pytest.raises(InputError, match="unsupported magic 'P2', expected P5"):
+            read_pgm(path)
 
     def test_binary_header_comment(self, tmp_path):
         path = tmp_path / "c.pgm"
@@ -59,6 +64,31 @@ class TestPgmIo:
         assert img[0, 2 - 2] == 0.0
         assert img[0, 1] == 128 / 255
         assert img[1, 0] == 1.0
+
+    def test_comments_glued_to_tokens(self, tmp_path):
+        path = tmp_path / "glued.pgm"
+        path.write_bytes(b"P5#c\n2#w\r1 255\n" + bytes([3, 255]))
+        np.testing.assert_array_equal(read_pgm(path), [[3 / 255, 1.0]])
+
+    def test_comment_after_maxval_rejected(self, tmp_path):
+        # maxval ends in exactly one whitespace byte; the raster is not a comment's tail
+        path = tmp_path / "tail.pgm"
+        path.write_bytes(b"P5\n1 1\n255#x\n\x07")
+        with pytest.raises(InputError, match="malformed or truncated PGM header"):
+            read_pgm(path)
+
+    def test_unterminated_comments_fail_fast(self, tmp_path):
+        path = tmp_path / "hostile.pgm"
+        path.write_bytes(b"P5 " + b"# " * 10000 + b"x")
+        started = time.perf_counter()
+        with pytest.raises(InputError):
+            read_pgm(path)
+        assert time.perf_counter() - started < 1.0
+
+    def test_long_comment_is_read(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5 #" + b" #" * 100000 + b"\n1 1 255\n" + bytes([51]))
+        assert read_pgm(path)[0, 0] == 51 / 255
 
     def test_16bit_is_big_endian(self, tmp_path):
         path = tmp_path / "be.pgm"
@@ -96,8 +126,8 @@ class TestPgmIo:
 
     def test_sample_above_maxval_rejected(self, tmp_path):
         path = tmp_path / "over.pgm"
-        path.write_text("P2\n1 1\n10\n11\n")
-        with pytest.raises(InputError):
+        path.write_bytes(b"P5\n1 1\n10\n" + bytes([11]))
+        with pytest.raises(InputError, match="sample exceeds declared maxval 10"):
             read_pgm(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -107,6 +137,13 @@ class TestPgmIo:
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(InputError):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
+
+    def test_write_rejects_nan(self, tmp_path):
+        img = np.full((2, 2), 0.5)
+        img[1, 0] = np.nan
+        with pytest.raises(InputError, match="NaN"):
+            write_pgm(tmp_path / "x.pgm", img)
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_write_rejects_odd_maxval(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -146,6 +183,36 @@ class TestLoadImage:
         path = tmp_path / "r.png"
         Image.fromarray(rgb, mode="RGB").save(path)
         np.testing.assert_allclose(load_image(path), np.full((2, 2), 0.299), atol=1e-9)
+
+    @pytest.mark.parametrize("arr, expected", [
+        (np.array([[0, 51], [204, 255]], dtype=np.uint8), [[0.0, 0.2], [0.8, 1.0]]),
+        (np.array([[0, 13107], [65535, 257]], dtype=np.uint16),
+         [[0.0, 0.2], [1.0, 257 / 65535]]),
+        (np.array([[[51, 255]], [[255, 0]]], dtype=np.uint8), [[0.2], [1.0]]),
+        (np.array([[[255, 0, 0]], [[0, 255, 0]], [[0, 0, 255]]], dtype=np.uint8),
+         [[0.299], [0.587], [0.114]]),
+        (np.array([[[255, 0, 0, 7]], [[0, 0, 0, 255]]], dtype=np.uint8), [[0.299], [0.0]]),
+    ], ids=["gray8", "gray16", "two-channel", "rgb", "rgba"])
+    def test_png_modes_through_a_stub_pillow(self, arr, expected, tmp_path, monkeypatch):
+        opened = []
+
+        def open_png(path):
+            opened.append(path)
+            return contextlib.nullcontext(arr)
+
+        pil = types.ModuleType("PIL")
+        pil.Image = types.SimpleNamespace(open=open_png)
+        monkeypatch.setitem(sys.modules, "PIL", pil)
+        path = tmp_path / "s.png"
+        out = load_image(path)
+        assert opened == [path]
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_png_without_pillow_names_the_extra(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # makes the import fail
+        with pytest.raises(InputError, match=r"aift\[png\]"):
+            load_image(tmp_path / "s.png")
 
 
 class TestNormalizePatch:

@@ -95,6 +95,12 @@ class TestDetect:
         with pytest.raises(DomainError):
             detect(params16, np.full((16, 16), 2.0))
 
+    def test_nan_pixel_fails_the_range_check(self, params16):
+        img = RNG.uniform(0, 1, (16, 16))
+        img[3, 4] = np.nan
+        with pytest.raises(DomainError, match=r"detect: image values must lie in \[0, 1\]"):
+            detect(params16, img)
+
 
 class TestDetectFullImage:
     def test_exact_tiling_shape(self, params16):
@@ -122,6 +128,12 @@ class TestDetectFullImage:
         # interior columns are covered by two patches; all values stay finite
         assert res.score_map.shape == (16, 24)
         assert np.all(res.score_map >= 0.0)
+
+    def test_nan_pixel_fails_the_range_check(self, params16):
+        img = RNG.uniform(0, 1, (16, 32))
+        img[3, 20] = np.nan
+        with pytest.raises(DomainError, match=r"detect_full_image: image values must lie"):
+            detect_full_image(params16, img)
 
     def test_too_small_image_rejected(self, params16):
         with pytest.raises(DimensionError):

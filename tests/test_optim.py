@@ -12,10 +12,10 @@ from oracles import adam_scalar_reference
 
 
 def test_first_step_magnitude():
-    # with bias correction the very first update is lr * g / (|g| + eps)
+    # with bias correction the very first update is lr * g / (|g| + EPS)
     p = Tensor([10.0], requires_grad=True)
     p.grad = np.array([4.0])
-    opt = Adam([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam([p], lr=1e-3, beta1=0.9, beta2=0.999)
     opt.step()
     assert p.data[0] == pytest.approx(10.0 - 1e-3, rel=1e-6)
 
@@ -24,7 +24,7 @@ def test_matches_scalar_recurrence():
     grads = [0.3, -1.2, 0.7, 0.0, 2.5, -0.4]
     expected = adam_scalar_reference(1.0, grads, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
     p = Tensor([1.0], requires_grad=True)
-    opt = Adam([p], lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam([p], lr=0.05, beta1=0.9, beta2=0.999)
     for g, want in zip(grads, expected):
         p.grad = np.array([g])
         opt.step()
