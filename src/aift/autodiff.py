@@ -16,9 +16,11 @@ layers there is no broadcasting.
 
 A transposed convolution is a convolution's input gradient, so conv2d and
 conv_transpose2d share three array kernels.  A conv op adds its layer's
-bias itself, so a layer keeps one output map, not a pre-bias copy too.  It
-holds its input array and its kernel, which the graph keeps anyway, and no
-column matrix; the backward pass rebuilds the columns of the kernel
+bias and applies its LeakyReLU itself, so a layer keeps one output map, not
+a pre-bias or pre-activation copy too: for a slope in (0, 1] the output has
+the pre-activation's signs, which are all the activation's gradient reads.
+It holds its input array and its kernel, which the graph keeps anyway, and
+no column matrix; the backward pass rebuilds the columns of the kernel
 gradient, which costs a copy per step but cuts a training step's peak
 memory by about a third.
 
@@ -301,18 +303,32 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+def _leaky(x: np.ndarray, slope: float):
     """max(x, slope * x), which equals where(x > 0, x, slope * x) bit for bit
-    for a slope in (0, 1] (and for a slope of 0 on finite x).
+    for a slope in (0, 1] (and for a slope of 0 on finite x), and its
+    gradient function grad(g, signs).
 
-    The gradient g * fmax(sign(x), slope) equals where(x > 0, g, slope * g)
-    bit for bit for a slope in [0, 1]: the factor is exactly 1 above zero
-    and exactly the slope, rounded to g's dtype, at or below zero, and NaN
-    (whose sign is NaN) takes the slope as well."""
-    out = np.maximum(a.data, slope * a.data)
+    The gradient g * fmax(sign(signs), slope) equals where(x > 0, g, slope * g)
+    bit for bit for a slope in [0, 1] when ``signs`` is x: the factor is
+    exactly 1 above zero and exactly the slope, rounded to g's dtype, at or
+    below zero, and NaN (whose sign is NaN) takes the slope as well.  For a
+    slope in (0, 1] the output is positive exactly where x is and NaN
+    exactly where x is, so ``signs`` may be the output instead."""
+
+    def grad(g, signs):
+        return g * np.fmax(np.sign(signs).astype(g.dtype, copy=False), slope)
+
+    return np.maximum(x, slope * x), grad
+
+
+def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+    """LeakyReLU max(x, slope * x); see _leaky.  The gradient reads the
+    input's signs, since at a slope of 0 an input of +inf gives a NaN
+    output (0 * inf), whose factor would be the slope, not 1."""
+    out, grad = _leaky(a.data, slope)
 
     def backward(g):
-        _accumulate(a, g * np.fmax(np.sign(a.data).astype(g.dtype, copy=False), slope))
+        _accumulate(a, grad(g, a.data))
 
     return _record(out, (a,), backward)
 
@@ -473,9 +489,12 @@ def _window_grad(win: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gk)
 
 
-def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, stride: int, padding: int,
-                transpose: bool) -> None:
+def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, leak: float | None, stride: int,
+                padding: int, transpose: bool) -> None:
     op, axes = ("conv_transpose2d", "C, K") if transpose else ("conv2d", "K, C")
+    # NaN fails both comparisons
+    if leak is not None and not 0.0 < leak <= 1.0:
+        raise DomainError(f"{op}: leak must lie in (0, 1], got {leak}")
     if stride < 1:
         raise DimensionError(f"stride must be >= 1, got {stride}")
     if padding < 0:
@@ -493,13 +512,17 @@ def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, stride: int, padding:
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
-           bias: Tensor | None = None) -> Tensor:
+           bias: Tensor | None = None, leak: float | None = None) -> Tensor:
     """Cross-correlate x [N, C, H, W] with kernels k [K, C, kh, kw], plus a
-    per-channel ``bias`` [K] if given.
+    per-channel ``bias`` [K] if given, then apply a LeakyReLU of slope
+    ``leak`` in (0, 1] if given.
 
     Output is [N, K, H', W'] with H' = floor((H + 2 * padding - kh) / stride) + 1.
+    The output and every gradient equal those of leaky_relu(conv2d(x, k,
+    stride, padding, bias), leak) bit for bit, but the layer keeps one
+    output map, not the pre-activation as well.
     """
-    _check_conv(x, k, bias, stride, padding, transpose=False)
+    _check_conv(x, k, bias, leak, stride, padding, transpose=False)
     h, w = x.shape[2:]
     kk, _, kh, kw = k.shape
     full_h, full_w = h + 2 * padding, w + 2 * padding
@@ -512,8 +535,15 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
     out = _correlate(_im2col(xd, kh, kw, stride, padding), kmat)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
+    if leak is not None:
+        out, leak_grad = _leaky(out, leak)
 
     def backward(g):
+        if leak is not None:
+            # the output's signs are the pre-activation's; C order, as
+            # _accumulate stores leaky_relu's gradient, so that the sums
+            # below add in the same order as leaky_relu(conv2d(...))
+            g = np.asarray(leak_grad(g, out), order="C")
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if k.requires_grad:
@@ -525,15 +555,18 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
 
 
 def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
-                     bias: Tensor | None = None) -> Tensor:
+                     bias: Tensor | None = None, leak: float | None = None) -> Tensor:
     """Transposed convolution of x [N, C, H, W] with kernels k [C, K, kh, kw],
-    plus a per-channel ``bias`` [K] if given.
+    plus a per-channel ``bias`` [K] if given, then a LeakyReLU of slope
+    ``leak`` in (0, 1] if given.
 
     Output is [N, K, H', W'] with H' = (H - 1) * stride - 2 * padding + kh.
-    With identical kernel values and no bias this operation is the exact
-    adjoint of ``conv2d`` under the Frobenius inner product.
+    With identical kernel values, no bias and no leak this operation is the
+    exact adjoint of ``conv2d`` under the Frobenius inner product.  As for
+    ``conv2d``, ``leak`` gives leaky_relu's output and gradients bit for bit
+    and keeps one output map.
     """
-    _check_conv(x, k, bias, stride, padding, transpose=True)
+    _check_conv(x, k, bias, leak, stride, padding, transpose=True)
     h, w = x.shape[2:]
     c, _, kh, kw = k.shape
     full_h, full_w = (h - 1) * stride + kh, (w - 1) * stride + kw
@@ -546,8 +579,12 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
     out = _correlate_adjoint(xd, kmat, kh, kw, stride, padding, full_h, full_w)
     # a new array either way, not a view of the larger uncropped sum
     out = np.ascontiguousarray(out) if bias is None else out + bias.data[None, :, None, None]
+    if leak is not None:
+        out, leak_grad = _leaky(out, leak)
 
     def backward(g):
+        if leak is not None:
+            g = np.asarray(leak_grad(g, out), order="C")
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         # g's windows line up with x's pixels

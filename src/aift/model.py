@@ -139,7 +139,7 @@ def _run_conv_stack(params: AiftParams, x: Tensor, prefix: str) -> Tensor:
     for i in range(N_STAGES):
         w = params.tensors[f"{prefix}.{i}.w"]
         b = params.tensors[f"{prefix}.{i}.b"]
-        h = ad.leaky_relu(ad.conv2d(h, w, stride=2, padding=1, bias=b), _LEAK)
+        h = ad.conv2d(h, w, stride=2, padding=1, bias=b, leak=_LEAK)
     return h
 
 
@@ -153,9 +153,9 @@ def generate(params: AiftParams, x: Tensor, direction: str) -> Tensor:
     for i in range(N_STAGES):
         w = params.tensors[f"{head}.{i}.w"]
         b = params.tensors[f"{head}.{i}.b"]
-        h = ad.conv_transpose2d(h, w, stride=2, padding=1, bias=b)
-        h = ad.sigmoid(h) if i == N_STAGES - 1 else ad.leaky_relu(h, _LEAK)
-    return h
+        leak = None if i == N_STAGES - 1 else _LEAK
+        h = ad.conv_transpose2d(h, w, stride=2, padding=1, bias=b, leak=leak)
+    return ad.sigmoid(h)
 
 
 def discriminate(params: AiftParams, x: Tensor, domain: str) -> Tensor:
@@ -195,7 +195,7 @@ def save_checkpoint(params: AiftParams, path) -> None:
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
     blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob)
 
 
 class _Reader:

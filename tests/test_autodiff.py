@@ -36,6 +36,19 @@ def _tap_major(x, k, stride, padding):
     return out
 
 
+def _bits(a):
+    """The unsigned view of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(f"u{a.itemsize}")
+
+
+# the smallest float32 slope is 1e-30, since 1e-300 rounds to 0 there
+_SLOPES = pytest.mark.parametrize(
+    "slope, dtype", [(s, np.float64) for s in (1e-300, 0.01, 0.2, 0.5, 1.0)]
+    + [(s, np.float32) for s in (1e-30, 0.01, 0.2, 0.5, 1.0)],
+    ids=["1e-300", "0.01", "0.2", "0.5", "1.0"]
+    + [f"float32-{s}" for s in ("1e-30", "0.01", "0.2", "0.5", "1.0")])
+
+
 class TestForwardValues:
     def test_add_mul_sub(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -68,12 +81,7 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
         assert np.all(np.isfinite(out.data))
 
-    # the smallest float32 slope is 1e-30, since 1e-300 rounds to 0 there
-    @pytest.mark.parametrize(
-        "slope, dtype", [(s, np.float64) for s in (1e-300, 0.01, 0.2, 0.5, 1.0)]
-        + [(s, np.float32) for s in (1e-30, 0.01, 0.2, 0.5, 1.0)],
-        ids=["1e-300", "0.01", "0.2", "0.5", "1.0"]
-        + [f"float32-{s}" for s in ("1e-30", "0.01", "0.2", "0.5", "1.0")])
+    @_SLOPES
     def test_leaky_relu_equals_where_form_bit_for_bit(self, slope, dtype):
         rng = np.random.default_rng(5)
         info = np.finfo(dtype)
@@ -97,6 +105,21 @@ class TestForwardValues:
             expected = np.where(x > 0.0, g, slope * g)
             assert a.grad.dtype == gtype
             assert np.array_equal(a.grad.view(guint), expected.view(guint))
+
+    @_SLOPES
+    def test_leaky_gradient_from_output_signs_bit_for_bit(self, slope, dtype):
+        # what the conv ops' leak relies on: for a slope in (0, 1] the
+        # output's signs give the input's gradient, also for -0.0, negative
+        # subnormals whose output underflows to -0.0, infinities and NaN
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
+        x = np.concatenate([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny, np.inf, -np.inf,
+                             info.max, -info.max, np.nan],
+                            np.random.default_rng(7).standard_normal(50)]).astype(dtype)
+        out, grad = ad._leaky(x, slope)
+        g = np.random.default_rng(8).standard_normal(x.shape).astype(dtype)
+        g[:4] = [0.0, -0.0, -0.0, 0.0]
+        assert np.array_equal(_bits(grad(g, out)), _bits(grad(g, x)))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sigmoid_equals_boolean_mask_form_bit_for_bit(self, dtype):
@@ -243,6 +266,14 @@ class TestGradChecks:
         check_gradients(lambda: ad.mean(ad.conv_transpose2d(x, k, stride, padding, bias=b)),
                         [x, k, b] if bias else [x, k])
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
+    def test_conv_leak_gradients(self, transpose):
+        x = _t(2, 3, 4, 4)
+        k = _t(3, 2, 4, 4) if transpose else _t(2, 3, 4, 4)
+        b = _t(2)
+        op = ad.conv_transpose2d if transpose else ad.conv2d
+        check_gradients(lambda: ad.mean(op(x, k, 2, 1, bias=b, leak=0.2)), [x, k, b])
+
     def test_two_layer_composite(self):
         x = _t(2, 1, 8, 8)
         k1 = _t(4, 1, 4, 4)
@@ -250,7 +281,7 @@ class TestGradChecks:
         k2 = _t(4, 2, 4, 4)
 
         def forward():
-            h = ad.leaky_relu(ad.conv2d(x, k1, 2, 1, bias=b1), 0.2)
+            h = ad.conv2d(x, k1, 2, 1, bias=b1, leak=0.2)
             return ad.mean(ad.sigmoid(ad.conv_transpose2d(h, k2, 2, 1)))
 
         check_gradients(forward, [x, k1, b1, k2])
@@ -413,6 +444,53 @@ class TestConvolutionValues:
             op(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(kshape)),
                bias=Tensor(np.zeros(bias_shape)))
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
+    @pytest.mark.parametrize("leak", [0.0, -0.2, 1.5, np.nan, np.inf])
+    def test_leak_must_lie_in_zero_one(self, transpose, leak):
+        op, kshape = (ad.conv_transpose2d, (1, 3, 2, 2)) if transpose else (ad.conv2d, (3, 1, 2, 2))
+        name = "conv_transpose2d" if transpose else "conv2d"
+        with pytest.raises(DomainError, match=rf"^{name}: leak must lie in \(0, 1\], got "):
+            op(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(kshape)), leak=leak)
+
+    # the model's layers at 32 px: 4x4 kernels at stride 2 with padding 1;
+    # "dec0" takes _correlate_adjoint's product route at batch 1
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 50])
+    @pytest.mark.parametrize("transpose,channels,size,kernels",
+                             [(False, 1, 32, 16), (False, 64, 4, 128),
+                              (True, 128, 2, 64), (True, 32, 8, 16)],
+                             ids=["enc0", "enc3", "dec0", "dec2"])
+    def test_leak_matches_leaky_relu_bit_for_bit(self, transpose, channels, size, kernels,
+                                                 batch, dtype):
+        rng = np.random.default_rng(2700 + channels + kernels + batch)
+        x = rng.standard_normal((batch, channels, size, size)).astype(dtype)
+        k = rng.standard_normal((channels, kernels, 4, 4) if transpose
+                                else (kernels, channels, 4, 4)).astype(dtype)
+        b = rng.standard_normal(kernels).astype(dtype)
+        # channels 0-2 have zero kernels, so their pre-activation is the
+        # product's zero plus the bias: +0.0; +0.0 or -0.0, as that zero is;
+        # and the smallest negative subnormal, whose output is -0.0
+        (k[:, :3] if transpose else k[:3])[...] = 0.0
+        b[:3] = [0.0, -0.0, -np.finfo(dtype).smallest_subnormal]
+        op = ad.conv_transpose2d if transpose else ad.conv2d
+        results = []
+        for fused in (True, False):
+            xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+            if fused:
+                y = op(xt, kt, 2, 1, bias=bt, leak=0.2)
+            else:
+                pre = op(xt, kt, 2, 1, bias=bt)
+                assert (_bits(pre.data) == 0).any() and (pre.data < 0).any()
+                y = ad.leaky_relu(pre, 0.2)
+            g = np.random.default_rng(2701).standard_normal(y.shape).astype(dtype)
+            g[:, :, 0], g[:, :, 1] = 0.0, -0.0
+            ad.tsum(ad.mul(y, Tensor(g))).backward()
+            results.append([y.data, xt.grad, kt.grad, bt.grad])
+        assert (_bits(results[0][0]) == _bits(np.array(-0.0, dtype))).any()
+        for fused, composed in zip(*results):
+            assert fused.dtype == dtype and fused.shape == composed.shape
+            assert np.array_equal(_bits(fused), _bits(composed))
+
     def test_kernel_larger_than_input(self):
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
@@ -420,17 +498,19 @@ class TestConvolutionValues:
 
 class TestGraphMemory:
     """A conv node keeps its input array and its kernel, which the graph
-    holds anyway; it keeps no column matrix and no copy of its input, and
-    with a bias no pre-bias copy of its output."""
+    holds anyway; it keeps no column matrix and no copy of its input, with
+    a bias no pre-bias copy of its output, and with a leak no
+    pre-activation."""
 
     @staticmethod
-    def _held_bytes(op, x, k, bias):
+    def _held_bytes(op, x, k, bias, leak):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             b = Tensor(np.ones(k.shape[1 if op is ad.conv_transpose2d else 0]),
                        requires_grad=True) if bias else None
-            y = op(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), 2, 1, bias=b)
+            y = op(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), 2, 1, bias=b,
+                   leak=leak)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -439,17 +519,17 @@ class TestGraphMemory:
     def test_conv2d_holds_only_its_output(self):
         rng = np.random.default_rng(2500)
         x, k = rng.standard_normal((8, 16, 16, 16)), rng.standard_normal((32, 16, 4, 4))
-        for bias in (False, True):
-            held, out = self._held_bytes(ad.conv2d, x, k, bias)
-            assert held <= out + 8192, (bias, held, out)
+        for bias, leak in ((False, None), (True, None), (True, 0.2)):
+            held, out = self._held_bytes(ad.conv2d, x, k, bias, leak)
+            assert held <= out + 8192, (bias, leak, held, out)
 
     def test_conv_transpose2d_holds_only_its_output(self):
         # a [N, C, H, W] input is not channel-last, so its GEMM rows are a copy
         rng = np.random.default_rng(2501)
         x, k = rng.standard_normal((8, 16, 8, 8)), rng.standard_normal((16, 8, 4, 4))
-        for bias in (False, True):
-            held, out = self._held_bytes(ad.conv_transpose2d, x, k, bias)
-            assert held <= out + 8192, (bias, held, out)
+        for bias, leak in ((False, None), (True, None), (True, 0.2)):
+            held, out = self._held_bytes(ad.conv_transpose2d, x, k, bias, leak)
+            assert held <= out + 8192, (bias, leak, held, out)
 
     def test_backward_frees_later_activations_before_earlier_closures(self):
         # a chain of 1 MB activations: by the time the bottom node's closure

@@ -1,6 +1,7 @@
 """Loss identities and training-loop contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ class TestTrainStep:
         g_opt, d_opt = _opts(params, cfg)
         train_step(params, (images, freqs), cfg, g_opt, d_opt)
         assert all(not t.grad.flags.writeable for t in params.generator_tensors().values())
+
+    def test_total_step_peak_memory_at_the_acceptance_config(self):
+        # every conv layer keeps one output map; with a separate LeakyReLU
+        # node beside each, the traced peak of this step is about 26 MB
+        images, freqs = (a.astype(np.float32) for a in toy_batch(n=50, patch=32))
+        params = init_params(32, 0, base_channels=16)
+        cfg = _fresh("total", batch_size=50, critic_iters=2, base_channels=16)
+        g_opt, d_opt = _opts(params, cfg)
+        tracemalloc.start()
+        try:
+            train_step(params, (images, freqs), cfg, g_opt, d_opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_aborts_on_non_finite_input(self):
         images, freqs = toy_batch()
