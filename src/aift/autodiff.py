@@ -15,10 +15,17 @@ Shapes are checked strictly: apart from the bias of the dense and conv
 layers there is no broadcasting.
 
 A transposed convolution is a convolution's input gradient, so conv2d and
-conv_transpose2d share three array kernels.  A conv op adds its layer's
-bias and applies its LeakyReLU itself, so a layer keeps one output map, not
-a pre-bias or pre-activation copy too: for a slope in (0, 1] the output has
-the pre-activation's signs, which are all the activation's gradient reads.
+conv_transpose2d share three array kernels.  Each runs its GEMM channel-last:
+the im2col columns are tap-major (kh, kw, C), copied in runs of C channels,
+and the product is an [N, H, W, K] array seen as [N, K, H, W].  Outputs and
+gradients keep that memory order, so the next GEMM reads them as pixel rows
+without a transposing copy; a kernel [K, C, kh, kw] stored (K, kh, kw, C) in
+memory, as the model stores its conv2d kernels, is read without a copy too.
+
+A conv op adds its layer's bias and applies its LeakyReLU itself, so a
+layer keeps one output map, not a pre-bias or pre-activation copy too: for a
+slope in (0, 1] the output has the pre-activation's signs, which are all the
+activation's gradient reads.
 It holds its input array and its kernel, which the graph keeps anyway, and
 no column matrix; the backward pass rebuilds the columns of the kernel
 gradient, which costs a copy per step but cuts a training step's peak
@@ -181,8 +188,13 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
         raise ContractError(
             f"gradient of shape {np.shape(grad)} for a tensor of shape {tensor.shape}")
     if tensor.grad is None:
-        # no code writes into a .grad, so only a strided view is copied
-        tensor.grad = np.asarray(grad, order="C")
+        # no code writes into a .grad, so it may share its buffer; only a
+        # crop or a broadcast of another buffer is copied, in its own memory
+        # order, so that a channel-last gradient stays channel-last
+        grad = np.asarray(grad)  # a 0-d result can be a numpy scalar
+        if grad.base is not None and getattr(grad.base, "nbytes", 0) != grad.nbytes:
+            grad = grad.copy(order="K")
+        tensor.grad = grad
     else:
         tensor.grad = tensor.grad + grad
 
@@ -395,10 +407,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     ``padding``, as a read-only [N, Ho, Wo, kh, kw, C] view of a padded
     channel-last copy.
 
-    Reshaped as it is, the view gives tap-major (kh, kw, C) columns, copied
-    in contiguous runs of C.  With C moved first it gives the (C, kh, kw)
-    columns that match a [K, C, kh, kw] kernel, copied one element at a
-    time.  Rows come in batch/row/column order either way.
+    Reshaped as it is, the view gives the tap-major (kh, kw, C) columns of
+    every conv GEMM, copied in contiguous runs of C; channel-major
+    (C, kh, kw) columns would be copied one element at a time.  Rows come
+    in batch/row/column order.
     """
     n, c, h, w = x.shape
     xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
@@ -412,24 +424,30 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
 
 
 def _pixel_rows(x: np.ndarray) -> np.ndarray:
-    """x [N, C, H, W] as a contiguous [N * H * W, C] matrix."""
+    """x [N, C, H, W] as a contiguous [N * H * W, C] matrix; no copy when x
+    is stored channel-last."""
     n, c, h, w = x.shape
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
 
 
-def _correlate(win: np.ndarray, kmat: np.ndarray) -> np.ndarray:
-    """The channel-major (C, kh, kw) columns of an _im2col view times the
-    transposed [K, C * kh * kw] kernel matrix, as an [N, K, Ho, Wo] view:
-    conv2d's forward pass and conv_transpose2d's input gradient."""
+def _correlate(win: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """An _im2col view correlated with kernels k [K, C, kh, kw], as an
+    [N, K, Ho, Wo] view of a channel-last product: conv2d's forward pass and
+    conv_transpose2d's input gradient.
+
+    The view, reshaped as it is, gives tap-major (kh, kw, C) columns, copied
+    in runs of C, and the kernel is read in the same order, without a copy
+    if it is stored (K, kh, kw, C) in memory."""
     n, ho, wo, kh, kw, c = win.shape
-    cols = win.transpose(0, 1, 2, 5, 3, 4).reshape(n * ho * wo, c * kh * kw)
+    cols = win.reshape(n * ho * wo, kh * kw * c)
+    kmat = k.transpose(0, 2, 3, 1).reshape(k.shape[0], -1)
     return (cols @ kmat.T).reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
 
 
-def _correlate_adjoint(y: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int,
-                       padding: int, full_h: int, full_w: int) -> np.ndarray:
+def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
+                       full_h: int, full_w: int) -> np.ndarray:
     """The adjoint of _correlate: each pixel of y [N, K, H, W] times the
-    [K, C * kh * kw] kernel matrix, added back at its taps and cropped by
+    kernels k [K, C, kh, kw], added back at its taps and cropped by
     ``padding``, as an [N, C, full_h - 2 * padding, full_w - 2 * padding]
     view: conv_transpose2d's forward pass and conv2d's input gradient.
 
@@ -442,19 +460,17 @@ def _correlate_adjoint(y: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride
     first and runs one GEMM per pair.  The product route, taken when there
     are fewer rows than kernels, runs one GEMM on the kernel as it is and
     adds strided views of it, so one-patch inference skips copying the 1 MB
-    first decoder kernel.  The routes differ only in column order, so in no
-    output bit.
+    first decoder kernel, which is stored in C order.  The routes differ only
+    in column order, so in no output bit.
     """
     n, _, h, w = y.shape
     s = stride
     rows = _pixel_rows(y)
-    kk = kmat.shape[0]
-    c = kmat.shape[1] // (kh * kw)
+    kk, c, kh, kw = k.shape
     th, tw = -(-kh // s), -(-kw // s)
-    k4 = kmat.reshape(kk, c, kh, kw)
     if (th * s, tw * s) != (kh, kw):
-        k4 = np.pad(k4, ((0, 0), (0, 0), (0, th * s - kh), (0, tw * s - kw)))
-    k6 = k4.reshape(kk, c, th, s, tw, s)
+        k = np.pad(k, ((0, 0), (0, 0), (0, th * s - kh), (0, tw * s - kw)))
+    k6 = k.reshape(kk, c, th, s, tw, s)
     if rows.shape[0] < kk:
         # [N, H, W, di, dj, a, b, C]
         taps = (rows @ k6.reshape(kk, -1)).reshape(n, h, w, c, th, s, tw, s)
@@ -470,7 +486,7 @@ def _correlate_adjoint(y: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride
     # at least full_h x full_w: conv2d's input can end in rows no window reads
     hh = max(h + th - 1, -(-full_h // s))
     ww = max(w + tw - 1, -(-full_w // s))
-    out = np.zeros((n, hh, ww, s, s, c), dtype=np.result_type(rows, kmat))
+    out = np.zeros((n, hh, ww, s, s, c), dtype=np.result_type(rows, k))
     for di in range(th):
         for dj in range(tw):
             out[:, di:di + h, dj:dj + w] += block(di, dj)
@@ -524,15 +540,14 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
     """
     _check_conv(x, k, bias, leak, stride, padding, transpose=False)
     h, w = x.shape[2:]
-    kk, _, kh, kw = k.shape
+    kh, kw = k.shape[2:]
     full_h, full_w = h + 2 * padding, w + 2 * padding
     if full_h < kh or full_w < kw:
         raise DimensionError(
             f"conv2d: kernel ({kh}x{kw}) larger than padded input ({full_h}x{full_w})")
 
-    xd = x.data
-    kmat = k.data.reshape(kk, -1)
-    out = _correlate(_im2col(xd, kh, kw, stride, padding), kmat)
+    xd, kd = x.data, k.data
+    out = _correlate(_im2col(xd, kh, kw, stride, padding), kd)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
     if leak is not None:
@@ -540,16 +555,16 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
 
     def backward(g):
         if leak is not None:
-            # the output's signs are the pre-activation's; C order, as
-            # _accumulate stores leaky_relu's gradient, so that the sums
-            # below add in the same order as leaky_relu(conv2d(...))
-            g = np.asarray(leak_grad(g, out), order="C")
+            # the output's signs are the pre-activation's; the gradient keeps
+            # the memory order leaky_relu's would, so that the sums below add
+            # in the same order as leaky_relu(conv2d(...))
+            g = leak_grad(g, out)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if k.requires_grad:
             _accumulate(k, _window_grad(_im2col(xd, kh, kw, stride, padding), g))
         if x.requires_grad:
-            _accumulate(x, _correlate_adjoint(g, kmat, kh, kw, stride, padding, full_h, full_w))
+            _accumulate(x, _correlate_adjoint(g, kd, stride, padding, full_h, full_w))
 
     return _record(out, (x, k) if bias is None else (x, k, bias), backward)
 
@@ -568,23 +583,22 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
     """
     _check_conv(x, k, bias, leak, stride, padding, transpose=True)
     h, w = x.shape[2:]
-    c, _, kh, kw = k.shape
+    kh, kw = k.shape[2:]
     full_h, full_w = (h - 1) * stride + kh, (w - 1) * stride + kw
     if full_h - 2 * padding < 1 or full_w - 2 * padding < 1:
         raise DimensionError(
             f"conv_transpose2d: padding {padding} consumes the whole {full_h}x{full_w} output")
 
-    xd = x.data
-    kmat = k.data.reshape(c, -1)
-    out = _correlate_adjoint(xd, kmat, kh, kw, stride, padding, full_h, full_w)
+    xd, kd = x.data, k.data
+    out = _correlate_adjoint(xd, kd, stride, padding, full_h, full_w)
     # a new array either way, not a view of the larger uncropped sum
-    out = np.ascontiguousarray(out) if bias is None else out + bias.data[None, :, None, None]
+    out = out.copy(order="K") if bias is None else out + bias.data[None, :, None, None]
     if leak is not None:
         out, leak_grad = _leaky(out, leak)
 
     def backward(g):
         if leak is not None:
-            g = np.asarray(leak_grad(g, out), order="C")
+            g = leak_grad(g, out)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         # g's windows line up with x's pixels
@@ -592,6 +606,6 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
         if k.requires_grad:
             _accumulate(k, _window_grad(win, xd))
         if x.requires_grad:
-            _accumulate(x, _correlate(win, kmat))
+            _accumulate(x, _correlate(win, kd))
 
     return _record(out, (x, k) if bias is None else (x, k, bias), backward)

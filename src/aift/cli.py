@@ -399,9 +399,9 @@ def cmd_transform(args: argparse.Namespace) -> None:
         lines = ["panel,row,col,value"]
         for name, arr in panels:
             write_pgm(run / f"{name}.pgm", arr)
-            for r in range(arr.shape[0]):
-                for c in range(arr.shape[1]):
-                    lines.append(f"{name},{r},{c},{_ft(arr[r, c])}")
+            # tolist gives Python floats, whose repr is _ft's
+            for r, row in enumerate(arr.tolist()):
+                lines += (f"{name},{r},{c},{v!r}" for c, v in enumerate(row))
         (run / "panels.csv").write_text("\n".join(lines) + "\n")
         print(f"wrote 4 transform panels under {run}")
 
@@ -427,7 +427,8 @@ def cmd_detect(args: argparse.Namespace) -> None:
         for name, label, image in tests:
             result = detect_full_image(params, image, stride=args.stride or None)
             stem = _map_stem(used, name)
-            lines = [",".join(_ft(v) for v in row) for row in result.score_map]
+            # tolist gives Python floats, whose repr is _ft's
+            lines = [",".join(map(repr, row)) for row in result.score_map.tolist()]
             (maps_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n")
             write_pgm(maps_dir / f"{stem}.pgm",
                       normalize_patch(result.score_map), maxval=65535)

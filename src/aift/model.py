@@ -13,6 +13,13 @@ Checkpoints are a small self-describing binary format (magic ``AIFT``,
 version, metadata, named float32 tensors and a CRC32, all little-endian),
 so a trained model and its checkpoint hold the same bits.  Loading a
 current-version checkpoint and saving it again gives the same bytes.
+
+Each conv2d kernel keeps its logical shape [K, C, kh, kw] but is laid out
+(K, kh, kw, C) in memory, the tap-major column order of conv2d's forward
+GEMM, which then reads it without a copy.  The transposed-conv kernels stay
+in C order, which one-patch inference reads without a copy.  Adam's
+elementwise updates keep both layouts, and a checkpoint holds each tensor
+in the C order of its shape, so the layout never reaches the file.
 """
 
 from __future__ import annotations
@@ -90,8 +97,20 @@ def _layer_plan(patch_size: int, base_channels: int) -> list[tuple[str, tuple[in
     return plan
 
 
+def _is_conv2d_kernel(name: str) -> bool:
+    return name.endswith(".w") and (".enc." in name or ".trunk." in name)
+
+
+def _stored(name: str, data: np.ndarray) -> np.ndarray:
+    """A float32 copy of ``data``, laid out (K, kh, kw, C) in memory if it
+    is a conv2d kernel [K, C, kh, kw]."""
+    if _is_conv2d_kernel(name):
+        return np.array(data.transpose(0, 2, 3, 1), MODEL_DTYPE, order="C").transpose(0, 3, 1, 2)
+    return np.array(data, dtype=MODEL_DTYPE)
+
+
 def _fan_in(name: str, shape: tuple[int, ...]) -> int:
-    if ".enc." in name or ".trunk." in name:
+    if _is_conv2d_kernel(name):
         return shape[1] * shape[2] * shape[3]
     if ".dec_" in name:
         return shape[0] * shape[2] * shape[3]
@@ -103,6 +122,7 @@ def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftPara
 
     Weights are drawn uniform in +-sqrt(6 / fan_in) and rounded once to
     float32, biases zero.  The same seed always yields bit-identical tensors.
+    Conv2d kernels are stored channel-last (see the module docstring).
     """
     if patch_size not in PATCH_SIZES:
         raise ConfigurationError(f"patch_size must be one of {PATCH_SIZES}, got {patch_size}")
@@ -117,7 +137,7 @@ def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftPara
             data = np.zeros(shape, dtype=MODEL_DTYPE)
         else:
             bound = np.sqrt(6.0 / _fan_in(name, shape))
-            data = rng.uniform(-bound, bound, size=shape).astype(MODEL_DTYPE)
+            data = _stored(name, rng.uniform(-bound, bound, size=shape))
         tensors[name] = Tensor(data, requires_grad=True)
     return AiftParams(patch_size, base_channels, seed, tensors)
 
@@ -192,7 +212,7 @@ def save_checkpoint(params: AiftParams, path) -> None:
         blob += struct.pack("<I", len(shape))
         if shape:
             blob += struct.pack(f"<{len(shape)}I", *shape)
-        blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
+        blob += tensor.data.astype("<f4", copy=False).tobytes()  # C order of the shape
     blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -219,7 +239,9 @@ class _Reader:
 
 
 def load_checkpoint(path) -> AiftParams:
-    """Read a checkpoint back into trainable float32 tensors, bit for bit.
+    """Read a checkpoint back into trainable float32 tensors, bit for bit,
+    each copied once out of the file's bytes into the layout init_params
+    gives it.
 
     Raises InputError when the file cannot be read, and IntegrityError on a
     bad magic, unknown version, checksum mismatch, trailing bytes or a
@@ -249,7 +271,7 @@ def load_checkpoint(path) -> AiftParams:
     if chans != [base << i for i in range(N_STAGES)] or base < 1:
         raise IntegrityError(f"checkpoint declares malformed channel widths {chans}")
     (count,) = reader.unpack("<I")
-    tensors: dict[str, Tensor] = {}
+    values: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<I")
         # a name that is not UTF-8 decodes to one that fails the listing check
@@ -257,13 +279,12 @@ def load_checkpoint(path) -> AiftParams:
         (rank,) = reader.unpack("<I")
         shape = tuple(reader.unpack(f"<{rank}I")) if rank else ()
         n_values = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = reader.take(4 * n_values)
-        data = np.frombuffer(raw, dtype="<f4").astype(MODEL_DTYPE).reshape(shape)
-        tensors[name] = Tensor(data, requires_grad=True)
+        values[name] = np.frombuffer(reader.take(4 * n_values), dtype="<f4").reshape(shape)
     if not reader.done():
         raise IntegrityError("trailing bytes after checkpoint payload")
     expected = _layer_plan(patch_size, base)
-    got = [(name, t.shape) for name, t in tensors.items()]
+    got = [(name, v.shape) for name, v in values.items()]
     if got != expected:
         raise IntegrityError("checkpoint tensor listing does not match its declared architecture")
+    tensors = {name: Tensor(_stored(name, v), requires_grad=True) for name, v in values.items()}
     return AiftParams(patch_size, base, int(seed), tensors)

@@ -115,6 +115,29 @@ def conv_transpose2d_tap_major(x, k, stride=1, padding=0):
     return full[:, padding:fh - padding, padding:fw - padding].transpose(0, 3, 1, 2)
 
 
+def conv2d_tap_major(x, k, stride=1, padding=0):
+    """Convolution as one GEMM over tap-major (kh, kw, C) columns, each
+    column cut from the padded input one tap at a time, and the kernel read
+    in the same (kh, kw, C) order.
+
+    The engine's forward pass sums the same products in the same order, so
+    it must match bit for bit, whatever the kernel's memory layout.
+    """
+    n, c, h, w = x.shape
+    kk, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    cols = np.empty((n * ho * wo, kh * kw * c), dtype=xp.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            for ci in range(c):
+                taps = xp[:, ci, u:u + ho * stride:stride, v:v + wo * stride:stride]
+                cols[:, (u * kw + v) * c + ci] = taps.reshape(-1)
+    kmat = np.ascontiguousarray(k.transpose(0, 2, 3, 1)).reshape(kk, kh * kw * c)
+    return (cols @ kmat.T).reshape(n, ho, wo, kk).transpose(0, 3, 1, 2)
+
+
 def conv2d_kernel_grad_channel_major(x, g, kh, kw, stride=1, padding=0):
     """Kernel gradient of sum(conv2d(x, k) * g) as one GEMM over (C, kh, kw)
     columns, each column cut from the padded input one tap at a time.

@@ -11,7 +11,7 @@ from aift.autodiff import Tensor, no_grad
 from aift.errors import ContractError, DimensionError, DomainError
 
 from oracles import (check_gradients, conv2d_kernel_grad_channel_major, conv2d_loops,
-                     conv_transpose2d_loops, conv_transpose2d_tap_major)
+                     conv2d_tap_major, conv_transpose2d_loops, conv_transpose2d_tap_major)
 
 RNG = np.random.default_rng(20240811)
 
@@ -34,6 +34,11 @@ def _tap_major(x, k, stride, padding):
         one[:, :, u, v] = k[:, :, u, v]
         out = out + conv_transpose2d_tap_major(x, one, stride, padding).astype(x.dtype)
     return out
+
+
+def _channel_last(k):
+    """k with the same shape and values, stored (K, kh, kw, C) in memory."""
+    return np.ascontiguousarray(k.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def _bits(a):
@@ -354,6 +359,41 @@ class TestConvolutionValues:
         assert x.grad.dtype == dtype
         assert np.array_equal(x.grad, _tap_major(g, k, stride, padding))
 
+    # the model's conv2d layers enc0, enc1 and enc3 at 32 px: 4x4 kernels at
+    # stride 2 with padding 1; the kernel as a caller builds it and as the
+    # model stores it
+    @pytest.mark.parametrize("layout", ["c-order", "channel-last"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 50])
+    @pytest.mark.parametrize("channels,size,kernels", [(1, 32, 16), (16, 16, 32), (64, 4, 128)],
+                             ids=["enc0", "enc1", "enc3"])
+    def test_conv2d_bit_for_bit(self, channels, size, kernels, batch, dtype, layout):
+        rng = np.random.default_rng(2800 + channels + kernels + batch)
+        x = rng.standard_normal((batch, channels, size, size)).astype(dtype)
+        k = rng.standard_normal((kernels, channels, 4, 4)).astype(dtype)
+        kt = Tensor(k if layout == "c-order" else _channel_last(k))
+        fast = ad.conv2d(Tensor(x), kt, 2, 1).data
+        assert fast.dtype == dtype
+        assert np.array_equal(fast, conv2d_tap_major(x, k, 2, 1))
+
+    # conv_transpose2d's input gradient is conv2d of the output gradient with
+    # the same kernel; the decoder layers dec0, dec2 and dec3 at base 16
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 50])
+    @pytest.mark.parametrize("channels,size,kernels", [(128, 2, 64), (32, 8, 16), (16, 16, 1)],
+                             ids=["dec0", "dec2", "dec3"])
+    def test_conv_transpose2d_input_gradient_bit_for_bit(self, channels, size, kernels, batch,
+                                                         dtype):
+        rng = np.random.default_rng(2900 + channels + kernels + batch)
+        x = Tensor(rng.standard_normal((batch, channels, size, size)).astype(dtype),
+                   requires_grad=True)
+        k = rng.standard_normal((channels, kernels, 4, 4)).astype(dtype)
+        y = ad.conv_transpose2d(x, Tensor(k), 2, 1)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        ad.tsum(ad.mul(y, Tensor(g))).backward()
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, conv2d_tap_major(g, k, 2, 1))
+
     # the model's conv2d layers: 4x4 kernels at stride 2 with padding 1, on
     # the stage shapes of a 32 px patch; one output channel is the smallest case
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -407,6 +447,18 @@ class TestConvolutionValues:
             ad.tsum(y).backward()
             grads.append(kt.grad)
         assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
+    def test_input_gradient_is_stored_channel_last(self, transpose):
+        # both input gradients come out of a channel-last product; conv2d's
+        # is a crop of it, copied in its own memory order
+        rng = np.random.default_rng(2401)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 5, 4, 4) if transpose else (5, 3, 4, 4)))
+        op = ad.conv_transpose2d if transpose else ad.conv2d
+        ad.tsum(op(x, k, 2, 1, bias=Tensor(np.zeros(5)), leak=0.2)).backward()
+        assert x.grad.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert x.grad.base is None or x.grad.base.nbytes == x.grad.nbytes
 
     def test_output_shape_formulas(self):
         x = Tensor(np.zeros((1, 1, 32, 32)))
@@ -530,6 +582,21 @@ class TestGraphMemory:
         for bias, leak in ((False, None), (True, None), (True, 0.2)):
             held, out = self._held_bytes(ad.conv_transpose2d, x, k, bias, leak)
             assert held <= out + 8192, (bias, leak, held, out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_channel_last_kernel_is_read_without_a_copy(self, dtype):
+        # enc3's kernel at batch 1, as the model stores it
+        rng = np.random.default_rng(2502)
+        x = Tensor(rng.standard_normal((1, 64, 4, 4)).astype(dtype))
+        k = Tensor(_channel_last(rng.standard_normal((128, 64, 4, 4)).astype(dtype)))
+        with no_grad():
+            tracemalloc.start()
+            try:
+                ad.conv2d(x, k, 2, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < k.data.nbytes, (peak, k.data.nbytes)
 
     def test_backward_frees_later_activations_before_earlier_closures(self):
         # a chain of 1 MB activations: by the time the bottom node's closure

@@ -6,8 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
-from aift import (Tensor, discriminate, generate, init_params, load_checkpoint,
-                  save_checkpoint)
+from aift import (Tensor, TrainConfig, discriminate, generate, init_params,
+                  load_checkpoint, save_checkpoint, spectrum_image, train)
 from aift.errors import ConfigurationError, DimensionError, IntegrityError
 from aift.model import F2I, I2F, _layer_plan
 import aift.autodiff as ad
@@ -213,3 +213,36 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(6).uniform(0, 1, (1, 1, 16, 16)))
         ad.mean(generate(q, x, I2F)).backward()
         assert q.tensors["gen.enc.0.w"].grad is not None
+
+
+class TestKernelLayout:
+    """Conv2d kernels [K, C, kh, kw] are stored channel-last, the column
+    order of the forward GEMM; transposed-conv kernels stay in C order."""
+
+    @staticmethod
+    def assert_layouts(params):
+        conv2d = [n for n in params.tensors
+                  if n.endswith(".w") and (".enc." in n or ".trunk." in n)]
+        decoder = [n for n in params.tensors if n.startswith("gen.dec_") and n.endswith(".w")]
+        assert len(conv2d) == 8 and len(decoder) == 8
+        for name in conv2d:
+            assert params.tensors[name].data.transpose(0, 2, 3, 1).flags.c_contiguous, name
+        for name in decoder:
+            assert params.tensors[name].data.flags.c_contiguous, name
+
+    def test_after_init(self):
+        self.assert_layouts(init_params(32, 0, base_channels=8))
+
+    def test_after_load(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(32, 1, base_channels=8), path)
+        self.assert_layouts(load_checkpoint(path))
+
+    def test_after_training(self):
+        rng = np.random.default_rng(7)
+        images = rng.uniform(0, 1, (6, 1, 16, 16))
+        freqs = np.stack([spectrum_image(im[0]) for im in images])[:, None]
+        cfg = TrainConfig(epochs=2, batch_size=3, lam=0.1, critic_iters=2, lr=1e-3,
+                          loss_mode="total", seed=0, base_channels=4)
+        params, _ = train((images, freqs), cfg)
+        self.assert_layouts(params)
