@@ -19,8 +19,9 @@ conv_transpose2d share three array kernels.  Each runs its GEMM channel-last:
 the im2col columns are tap-major (kh, kw, C), copied in runs of C channels,
 and the product is an [N, H, W, K] array seen as [N, K, H, W].  Outputs and
 gradients keep that memory order, so the next GEMM reads them as pixel rows
-without a transposing copy; a kernel [K, C, kh, kw] stored (K, kh, kw, C) in
-memory, as the model stores its conv2d kernels, is read without a copy too.
+without a transposing copy.  Every kernel [A, B, kh, kw] is read tap-major,
+without a copy when it is laid out (A, kh, kw, B) in memory, as the model
+stores all of its kernels, and its gradient comes out in that layout.
 
 A conv op adds its layer's bias and applies its LeakyReLU itself, so a
 layer keeps one output map, not a pre-bias or pre-activation copy too: for a
@@ -457,11 +458,11 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
     which is then copied depth-to-space.  Every element sums its taps in
     (di, dj) order from +0.0; zero taps that pad the kernel to a multiple of
     the stride change no sum.  The kernel route copies the kernel tap pair
-    first and runs one GEMM per pair.  The product route, taken when there
-    are fewer rows than kernels, runs one GEMM on the kernel as it is and
-    adds strided views of it, so one-patch inference skips copying the 1 MB
-    first decoder kernel, which is stored in C order.  The routes differ only
-    in column order, so in no output bit.
+    first and runs one GEMM per pair.  The product route runs one GEMM on
+    the kernel's tap-major matrix, read as _correlate reads it, and adds
+    strided views of the product; it is taken when there are fewer rows than
+    kernels, as at batch 1 on the deepest layers, where it is the faster
+    route.  The routes differ only in column order, so in no output bit.
     """
     n, _, h, w = y.shape
     s = stride
@@ -470,16 +471,16 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
     th, tw = -(-kh // s), -(-kw // s)
     if (th * s, tw * s) != (kh, kw):
         k = np.pad(k, ((0, 0), (0, 0), (0, th * s - kh), (0, tw * s - kw)))
-    k6 = k.reshape(kk, c, th, s, tw, s)
     if rows.shape[0] < kk:
         # [N, H, W, di, dj, a, b, C]
-        taps = (rows @ k6.reshape(kk, -1)).reshape(n, h, w, c, th, s, tw, s)
-        taps = taps.transpose(0, 1, 2, 4, 6, 5, 7, 3)
+        taps = (rows @ k.transpose(0, 2, 3, 1).reshape(kk, -1)).reshape(n, h, w, th, s, tw, s, c)
+        taps = taps.transpose(0, 1, 2, 3, 5, 4, 6, 7)
 
         def block(di, dj):
             return taps[:, :, :, di, dj]
     else:
-        kt = np.ascontiguousarray(k6.transpose(2, 4, 0, 3, 5, 1))  # [di, dj, K, a, b, C]
+        # [di, dj, K, a, b, C]
+        kt = np.ascontiguousarray(k.reshape(kk, c, th, s, tw, s).transpose(2, 4, 0, 3, 5, 1))
 
         def block(di, dj):
             return (rows @ kt[di, dj].reshape(kk, -1)).reshape(n, h, w, s, s, c)
@@ -496,13 +497,13 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
 
 def _window_grad(win: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient of a kernel correlated with an _im2col view to give
-    g [N, G, Ho, Wo], as a contiguous [G, C, kh, kw] array: the kernel
-    gradient of both ops.  Tap-major columns copy faster than (C, kh, kw),
-    and each entry is still one dot product over the same rows."""
+    g [N, G, Ho, Wo], as a [G, C, kh, kw] view of the (G, kh, kw, C) product,
+    the layout the model stores its kernels in: the kernel gradient of both
+    ops.  Tap-major columns copy faster than (C, kh, kw), and each entry is
+    still one dot product over the same rows."""
     n, ho, wo, kh, kw, c = win.shape
     cols = win.reshape(n * ho * wo, kh * kw * c)
-    gk = (_pixel_rows(g).T @ cols).reshape(-1, kh, kw, c).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(gk)
+    return (_pixel_rows(g).T @ cols).reshape(-1, kh, kw, c).transpose(0, 3, 1, 2)
 
 
 def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, leak: float | None, stride: int,

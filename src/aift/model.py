@@ -14,12 +14,12 @@ version, metadata, named float32 tensors and a CRC32, all little-endian),
 so a trained model and its checkpoint hold the same bits.  Loading a
 current-version checkpoint and saving it again gives the same bytes.
 
-Each conv2d kernel keeps its logical shape [K, C, kh, kw] but is laid out
-(K, kh, kw, C) in memory, the tap-major column order of conv2d's forward
-GEMM, which then reads it without a copy.  The transposed-conv kernels stay
-in C order, which one-patch inference reads without a copy.  Adam's
-elementwise updates keep both layouts, and a checkpoint holds each tensor
-in the C order of its shape, so the layout never reaches the file.
+Every conv kernel keeps its logical shape [A, B, kh, kw] ([K, C, kh, kw]
+for a conv, [C, K, kh, kw] for a transposed conv) but is laid out
+(A, kh, kw, B) in memory, the tap-major order in which every conv GEMM
+reads it without a copy.  Kernel gradients come out in the same layout, so
+Adam's moments and elementwise updates keep it, and a checkpoint holds each
+tensor in the C order of its shape, so the layout never reaches the file.
 """
 
 from __future__ import annotations
@@ -97,24 +97,18 @@ def _layer_plan(patch_size: int, base_channels: int) -> list[tuple[str, tuple[in
     return plan
 
 
-def _is_conv2d_kernel(name: str) -> bool:
-    return name.endswith(".w") and (".enc." in name or ".trunk." in name)
-
-
-def _stored(name: str, data: np.ndarray) -> np.ndarray:
-    """A float32 copy of ``data``, laid out (K, kh, kw, C) in memory if it
-    is a conv2d kernel [K, C, kh, kw]."""
-    if _is_conv2d_kernel(name):
+def _stored(data: np.ndarray) -> np.ndarray:
+    """A float32 copy of ``data``, laid out (A, kh, kw, B) in memory if it
+    is a kernel [A, B, kh, kw]."""
+    if data.ndim == 4:
         return np.array(data.transpose(0, 2, 3, 1), MODEL_DTYPE, order="C").transpose(0, 3, 1, 2)
     return np.array(data, dtype=MODEL_DTYPE)
 
 
 def _fan_in(name: str, shape: tuple[int, ...]) -> int:
-    if _is_conv2d_kernel(name):
-        return shape[1] * shape[2] * shape[3]
-    if ".dec_" in name:
-        return shape[0] * shape[2] * shape[3]
-    return shape[0]
+    if len(shape) != 4:
+        return shape[0]
+    return shape[0 if ".dec_" in name else 1] * shape[2] * shape[3]
 
 
 def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftParams:
@@ -122,7 +116,7 @@ def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftPara
 
     Weights are drawn uniform in +-sqrt(6 / fan_in) and rounded once to
     float32, biases zero.  The same seed always yields bit-identical tensors.
-    Conv2d kernels are stored channel-last (see the module docstring).
+    Every kernel is stored channel-last (see the module docstring).
     """
     if patch_size not in PATCH_SIZES:
         raise ConfigurationError(f"patch_size must be one of {PATCH_SIZES}, got {patch_size}")
@@ -137,7 +131,7 @@ def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftPara
             data = np.zeros(shape, dtype=MODEL_DTYPE)
         else:
             bound = np.sqrt(6.0 / _fan_in(name, shape))
-            data = _stored(name, rng.uniform(-bound, bound, size=shape))
+            data = _stored(rng.uniform(-bound, bound, size=shape))
         tensors[name] = Tensor(data, requires_grad=True)
     return AiftParams(patch_size, base_channels, seed, tensors)
 
@@ -286,5 +280,5 @@ def load_checkpoint(path) -> AiftParams:
     got = [(name, v.shape) for name, v in values.items()]
     if got != expected:
         raise IntegrityError("checkpoint tensor listing does not match its declared architecture")
-    tensors = {name: Tensor(_stored(name, v), requires_grad=True) for name, v in values.items()}
+    tensors = {name: Tensor(_stored(v), requires_grad=True) for name, v in values.items()}
     return AiftParams(patch_size, base, int(seed), tensors)

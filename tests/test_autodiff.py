@@ -408,7 +408,7 @@ class TestConvolutionValues:
         y = ad.conv2d(Tensor(x), k, 2, 1)
         g = rng.standard_normal(y.shape).astype(dtype)
         ad.tsum(ad.mul(y, Tensor(g))).backward()
-        assert k.grad.dtype == dtype and k.grad.flags.c_contiguous
+        assert k.grad.dtype == dtype and k.grad.transpose(0, 2, 3, 1).flags.c_contiguous
         assert np.array_equal(k.grad, conv2d_kernel_grad_channel_major(x, g, 4, 4, 2, 1))
 
     # the model's conv_transpose2d layers at base 16: 4x4 kernels at stride 2
@@ -427,7 +427,7 @@ class TestConvolutionValues:
         y = ad.conv_transpose2d(Tensor(x), k, 2, 1)
         g = rng.standard_normal(y.shape).astype(dtype)
         ad.tsum(ad.mul(y, Tensor(g))).backward()
-        assert k.grad.dtype == dtype and k.grad.flags.c_contiguous
+        assert k.grad.dtype == dtype and k.grad.transpose(0, 2, 3, 1).flags.c_contiguous
         assert np.array_equal(k.grad, conv2d_kernel_grad_channel_major(g, x, 4, 4, 2, 1))
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
@@ -583,19 +583,29 @@ class TestGraphMemory:
             held, out = self._held_bytes(ad.conv_transpose2d, x, k, bias, leak)
             assert held <= out + 8192, (bias, leak, held, out)
 
+    # batch 1 with kernels as the model stores them: enc3's conv2d forward
+    # pass and input gradient, and dec0's transposed-conv forward pass; the
+    # last two take _correlate_adjoint's product route
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_channel_last_kernel_is_read_without_a_copy(self, dtype):
-        # enc3's kernel at batch 1, as the model stores it
+    @pytest.mark.parametrize("case", ["conv2d", "conv2d-input-gradient", "conv_transpose2d"])
+    def test_channel_last_kernel_is_read_without_a_copy(self, case, dtype):
         rng = np.random.default_rng(2502)
-        x = Tensor(rng.standard_normal((1, 64, 4, 4)).astype(dtype))
+        shape = (1, 128, 2, 2) if case == "conv_transpose2d" else (1, 64, 4, 4)
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
         k = Tensor(_channel_last(rng.standard_normal((128, 64, 4, 4)).astype(dtype)))
-        with no_grad():
-            tracemalloc.start()
-            try:
-                ad.conv2d(x, k, 2, 1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        op = ad.conv_transpose2d if case == "conv_transpose2d" else ad.conv2d
+        if case == "conv2d-input-gradient":
+            run = ad.tsum(op(x, k, 2, 1)).backward
+        else:
+            def run():
+                with no_grad():
+                    op(x, k, 2, 1)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < k.data.nbytes, (peak, k.data.nbytes)
 
     def test_backward_frees_later_activations_before_earlier_closures(self):

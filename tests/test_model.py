@@ -6,8 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
-from aift import (Tensor, TrainConfig, discriminate, generate, init_params,
-                  load_checkpoint, save_checkpoint, spectrum_image, train)
+from aift import (Adam, AiftParams, Tensor, TrainConfig, discriminate, generate, init_params,
+                  load_checkpoint, save_checkpoint, spectrum_image, train, train_step)
 from aift.errors import ConfigurationError, DimensionError, IntegrityError
 from aift.model import F2I, I2F, _layer_plan
 import aift.autodiff as ad
@@ -143,6 +143,18 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bytes_do_not_depend_on_memory_layout(self, tmp_path):
+        p = small_params(4)
+        c_order = AiftParams(p.patch_size, p.base_channels, p.seed,
+                             {name: Tensor(np.ascontiguousarray(t.data))
+                              for name, t in p.tensors.items()})
+        assert not all(t.data.flags.c_contiguous for t in p.tensors.values())
+        a = tmp_path / "a.ckpt"
+        b = tmp_path / "b.ckpt"
+        save_checkpoint(p, a)
+        save_checkpoint(c_order, b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOPE" + bytes(64))
@@ -216,19 +228,23 @@ class TestCheckpoint:
 
 
 class TestKernelLayout:
-    """Conv2d kernels [K, C, kh, kw] are stored channel-last, the column
-    order of the forward GEMM; transposed-conv kernels stay in C order."""
+    """Every kernel [A, B, kh, kw] of the 16 conv layers is stored laid out
+    (A, kh, kw, B), the tap-major order in which every conv GEMM reads it;
+    its gradient and Adam moments keep that layout."""
 
     @staticmethod
-    def assert_layouts(params):
-        conv2d = [n for n in params.tensors
-                  if n.endswith(".w") and (".enc." in n or ".trunk." in n)]
-        decoder = [n for n in params.tensors if n.startswith("gen.dec_") and n.endswith(".w")]
-        assert len(conv2d) == 8 and len(decoder) == 8
-        for name in conv2d:
-            assert params.tensors[name].data.transpose(0, 2, 3, 1).flags.c_contiguous, name
-        for name in decoder:
-            assert params.tensors[name].data.flags.c_contiguous, name
+    def kernels(params):
+        kernels = {n: t for n, t in params.tensors.items() if t.data.ndim == 4}
+        assert len(kernels) == 16 and all(n.endswith(".w") for n in kernels)
+        return kernels
+
+    @staticmethod
+    def assert_channel_last(arrays):
+        for name, a in arrays.items():
+            assert a.transpose(0, 2, 3, 1).flags.c_contiguous, name
+
+    def assert_layouts(self, params):
+        self.assert_channel_last({n: t.data for n, t in self.kernels(params).items()})
 
     def test_after_init(self):
         self.assert_layouts(init_params(32, 0, base_channels=8))
@@ -246,3 +262,26 @@ class TestKernelLayout:
                           loss_mode="total", seed=0, base_channels=4)
         params, _ = train((images, freqs), cfg)
         self.assert_layouts(params)
+
+    def test_gradients_and_adam_moments_after_a_train_step(self):
+        rng = np.random.default_rng(8)
+        images = rng.uniform(0, 1, (3, 1, 16, 16))
+        freqs = np.stack([spectrum_image(im[0]) for im in images])[:, None]
+        cfg = TrainConfig(batch_size=3, critic_iters=2, lr=1e-3, loss_mode="total",
+                          base_channels=4)
+        params = small_params()
+        g_opt = Adam(params.generator_tensors(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+        d_opt = Adam(params.discriminator_tensors(), lr=cfg.lr, beta1=cfg.beta1,
+                     beta2=cfg.beta2)
+        train_step(params, (images, freqs), cfg, g_opt, d_opt)
+        kernels = self.kernels(params)
+        self.assert_channel_last({n: t.data for n, t in kernels.items()})
+        self.assert_channel_last({n: t.grad for n, t in kernels.items()})
+        moments = {}
+        for group, opt in ((params.generator_tensors(), g_opt),
+                           (params.discriminator_tensors(), d_opt)):
+            for name, m, v in zip(group, opt.state.m, opt.state.v):
+                if name in kernels:
+                    moments[name + ".m"], moments[name + ".v"] = m, v
+        assert len(moments) == 32
+        self.assert_channel_last(moments)
