@@ -15,7 +15,7 @@ def gradient_of_a_composite():
     x = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
     y = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
 
-    out = ad.mean(ad.tanh(x * y + x))
+    out = ad.mean(ad.sigmoid(x * y + x))
     out.backward()
     print(f"value          : {out.item():+.6f}")
     print(f"dvalue/dx[0,0] : {x.grad[0, 0]:+.6f}")
@@ -23,9 +23,9 @@ def gradient_of_a_composite():
     # nudge x[0,0] and measure the slope the slow way
     h = 1e-6
     x.data[0, 0] += h
-    hi = ad.mean(ad.tanh(x * y + x)).item()
+    hi = ad.mean(ad.sigmoid(x * y + x)).item()
     x.data[0, 0] -= 2 * h
-    lo = ad.mean(ad.tanh(x * y + x)).item()
+    lo = ad.mean(ad.sigmoid(x * y + x)).item()
     x.data[0, 0] += h
     print(f"finite diff    : {(hi - lo) / (2 * h):+.6f}")
     print()

@@ -23,10 +23,10 @@ without a transposing copy.  Every kernel [A, B, kh, kw] is read tap-major,
 without a copy when it is laid out (A, kh, kw, B) in memory, as the model
 stores all of its kernels, and its gradient comes out in that layout.
 
-A conv op adds its layer's bias and applies its LeakyReLU itself, so a
-layer keeps one output map, not a pre-bias or pre-activation copy too: for a
-slope in (0, 1] the output has the pre-activation's signs, which are all the
-activation's gradient reads.
+A conv op adds its layer's bias and applies its LeakyReLU, where(y > 0, y,
+slope * y) of the pre-activation y, itself, so a layer keeps one output map,
+not a pre-bias or pre-activation copy too: for a slope in (0, 1] the output
+has y's signs, which are all the activation's gradient reads.
 It holds its input array and its kernel, which the graph keeps anyway, and
 no column matrix; the backward pass rebuilds the columns of the kernel
 gradient, which costs a copy per step but cuts a training step's peak
@@ -307,43 +307,20 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - out * out))
-
-    return _record(out, (a,), backward)
-
-
 def _leaky(x: np.ndarray, slope: float):
     """max(x, slope * x), which equals where(x > 0, x, slope * x) bit for bit
-    for a slope in (0, 1] (and for a slope of 0 on finite x), and its
-    gradient function grad(g, signs).
+    for a slope in (0, 1], and its gradient function grad(g).
 
-    The gradient g * fmax(sign(signs), slope) equals where(x > 0, g, slope * g)
-    bit for bit for a slope in [0, 1] when ``signs`` is x: the factor is
-    exactly 1 above zero and exactly the slope, rounded to g's dtype, at or
-    below zero, and NaN (whose sign is NaN) takes the slope as well.  For a
-    slope in (0, 1] the output is positive exactly where x is and NaN
-    exactly where x is, so ``signs`` may be the output instead."""
+    The gradient g * fmax(sign(out), slope) equals where(x > 0, g, slope * g)
+    bit for bit: the output is positive exactly where x is and NaN exactly
+    where x is, so the factor is exactly 1 above zero and exactly the slope,
+    rounded to g's dtype, at or below zero and at NaN (whose sign is NaN)."""
+    out = np.maximum(x, slope * x)
 
-    def grad(g, signs):
-        return g * np.fmax(np.sign(signs).astype(g.dtype, copy=False), slope)
+    def grad(g):
+        return g * np.fmax(np.sign(out).astype(g.dtype, copy=False), slope)
 
-    return np.maximum(x, slope * x), grad
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    """LeakyReLU max(x, slope * x); see _leaky.  The gradient reads the
-    input's signs, since at a slope of 0 an input of +inf gives a NaN
-    output (0 * inf), whose factor would be the slope, not 1."""
-    out, grad = _leaky(a.data, slope)
-
-    def backward(g):
-        _accumulate(a, grad(g, a.data))
-
-    return _record(out, (a,), backward)
+    return out, grad
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -535,9 +512,10 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
     ``leak`` in (0, 1] if given.
 
     Output is [N, K, H', W'] with H' = floor((H + 2 * padding - kh) / stride) + 1.
-    The output and every gradient equal those of leaky_relu(conv2d(x, k,
-    stride, padding, bias), leak) bit for bit, but the layer keeps one
-    output map, not the pre-activation as well.
+    With y the pre-activation conv2d(x, k, stride, padding, bias), the output
+    is where(y > 0, y, leak * y) and the gradient that reaches y is
+    where(y > 0, g, leak * g), bit for bit, but the layer keeps one output
+    map, not y as well.
     """
     _check_conv(x, k, bias, leak, stride, padding, transpose=False)
     h, w = x.shape[2:]
@@ -556,10 +534,10 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
 
     def backward(g):
         if leak is not None:
-            # the output's signs are the pre-activation's; the gradient keeps
-            # the memory order leaky_relu's would, so that the sums below add
-            # in the same order as leaky_relu(conv2d(...))
-            g = leak_grad(g, out)
+            # the output's signs are the pre-activation's; the sums below add
+            # in this gradient's memory order, which numpy takes from g and
+            # the output
+            g = leak_grad(g)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if k.requires_grad:
@@ -579,8 +557,8 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
     Output is [N, K, H', W'] with H' = (H - 1) * stride - 2 * padding + kh.
     With identical kernel values, no bias and no leak this operation is the
     exact adjoint of ``conv2d`` under the Frobenius inner product.  As for
-    ``conv2d``, ``leak`` gives leaky_relu's output and gradients bit for bit
-    and keeps one output map.
+    ``conv2d``, ``leak`` gives the where form's output and gradient bit for
+    bit and keeps one output map.
     """
     _check_conv(x, k, bias, leak, stride, padding, transpose=True)
     h, w = x.shape[2:]
@@ -599,7 +577,7 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
 
     def backward(g):
         if leak is not None:
-            g = leak_grad(g, out)
+            g = leak_grad(g)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         # g's windows line up with x's pixels

@@ -8,7 +8,7 @@ conv trunk into one of two scalar dense heads (one per domain), ending in a
 sigmoid likelihood.
 
 The model computes and stores in float32: parameters are float32 tensors,
-and a plain input batch is cast to the parameters' dtype on the way in.
+and a plain input batch is cast to float32 on the way in.
 Checkpoints are a small self-describing binary format (magic ``AIFT``,
 version, metadata, named float32 tensors and a CRC32, all little-endian),
 so a trained model and its checkpoint hold the same bits.  Loading a
@@ -24,6 +24,7 @@ tensor in the C order of its shape, so the layout never reaches the file.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -136,16 +137,15 @@ def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftPara
     return AiftParams(patch_size, base_channels, seed, tensors)
 
 
-def _check_patch_batch(params: AiftParams, x: Tensor, who: str, weight: str) -> Tensor:
-    """Check the batch shape; a plain input (no graph behind it) comes back
-    cast to the dtype of the parameter ``weight``."""
+def _check_patch_batch(params: AiftParams, x: Tensor, who: str) -> Tensor:
+    """Check the batch shape, N >= 1; a plain input (no graph behind it)
+    comes back cast to MODEL_DTYPE, the dtype of every parameter."""
     p = params.patch_size
-    if x.data.ndim != 4 or x.shape[1] != 1 or x.shape[2] != p or x.shape[3] != p:
-        raise DimensionError(f"{who} expects [N, 1, {p}, {p}], got {x.shape}")
-    dtype = params.tensors[weight].data.dtype
-    if x.requires_grad or x.data.dtype == dtype:
+    if x.data.ndim != 4 or x.shape[0] < 1 or x.shape[1:] != (1, p, p):
+        raise DimensionError(f"{who} expects [N, 1, {p}, {p}] with N >= 1, got {x.shape}")
+    if x.requires_grad or x.data.dtype == MODEL_DTYPE:
         return x
-    return Tensor(x.data.astype(dtype))
+    return Tensor(x.data.astype(MODEL_DTYPE))
 
 
 def _run_conv_stack(params: AiftParams, x: Tensor, prefix: str) -> Tensor:
@@ -161,7 +161,7 @@ def generate(params: AiftParams, x: Tensor, direction: str) -> Tensor:
     """Map a batch through one generator direction; output in (0, 1)."""
     if direction not in DIRECTIONS:
         raise ConfigurationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    x = _check_patch_batch(params, x, "generate", "gen.enc.0.w")
+    x = _check_patch_batch(params, x, "generate")
     h = _run_conv_stack(params, x, "gen.enc")
     head = "gen.dec_freq" if direction == I2F else "gen.dec_image"
     for i in range(N_STAGES):
@@ -176,7 +176,7 @@ def discriminate(params: AiftParams, x: Tensor, domain: str) -> Tensor:
     """Score a batch as [N, 1] likelihoods of being a real sample of ``domain``."""
     if domain not in DOMAINS:
         raise ConfigurationError(f"domain must be one of {DOMAINS}, got {domain!r}")
-    x = _check_patch_batch(params, x, "discriminate", "disc.trunk.0.w")
+    x = _check_patch_batch(params, x, "discriminate")
     h = _run_conv_stack(params, x, "disc.trunk")
     head = "disc.image_head" if domain == "image" else "disc.freq_head"
     flat = ad.flatten(h)
@@ -264,21 +264,23 @@ def load_checkpoint(path) -> AiftParams:
     base = chans[0] if chans else 0
     if chans != [base << i for i in range(N_STAGES)] or base < 1:
         raise IntegrityError(f"checkpoint declares malformed channel widths {chans}")
+    plan = _layer_plan(patch_size, base)
+    mismatch = "checkpoint tensor listing does not match its declared architecture"
     (count,) = reader.unpack("<I")
-    values: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    if count != len(plan):
+        raise IntegrityError(mismatch)
+    tensors: dict[str, Tensor] = {}
+    for entry in plan:
         (name_len,) = reader.unpack("<I")
         # a name that is not UTF-8 decodes to one that fails the listing check
         name = reader.take(name_len).decode("utf-8", errors="replace")
         (rank,) = reader.unpack("<I")
         shape = tuple(reader.unpack(f"<{rank}I")) if rank else ()
-        n_values = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        values[name] = np.frombuffer(reader.take(4 * n_values), dtype="<f4").reshape(shape)
+        # checked before the values are sized, so no declared shape can overflow
+        if (name, shape) != entry:
+            raise IntegrityError(mismatch)
+        values = np.frombuffer(reader.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        tensors[name] = Tensor(_stored(values), requires_grad=True)
     if not reader.done():
         raise IntegrityError("trailing bytes after checkpoint payload")
-    expected = _layer_plan(patch_size, base)
-    got = [(name, v.shape) for name, v in values.items()]
-    if got != expected:
-        raise IntegrityError("checkpoint tensor listing does not match its declared architecture")
-    tensors = {name: Tensor(_stored(v), requires_grad=True) for name, v in values.items()}
     return AiftParams(patch_size, base, int(seed), tensors)

@@ -159,6 +159,17 @@ def conv2d_kernel_grad_channel_major(x, g, kh, kw, stride=1, padding=0):
     return (g2.T @ cols).reshape(kk, c, kh, kw)
 
 
+# -- LeakyReLU in the where form -------------------------------------------------
+
+
+def leaky_relu_where(x, g, slope):
+    """LeakyReLU of x and the gradient g passed back through it, written as
+    selections: the output where(x > 0, x, slope * x) and the gradient
+    where(x > 0, g, slope * g), so that NaN and every value at or below
+    zero take the slope."""
+    return np.where(x > 0.0, x, slope * x), np.where(x > 0.0, g, slope * g)
+
+
 # -- DFT by quadruple loop ---------------------------------------------------
 
 

@@ -119,7 +119,7 @@ class TestCriterion1:
 
                 a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
                 b = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-                check_gradients(lambda: ad.mean(ad.tanh(a * b - a)), [a, b])
+                check_gradients(lambda: ad.mean(ad.sigmoid(a * b - a)), [a, b])
                 instances += 1
 
                 x = Tensor(rng.uniform(-1, 1, (2, 5)), requires_grad=True)
@@ -135,9 +135,10 @@ class TestCriterion1:
 
                 xc = Tensor(rng.uniform(-1, 1, (1, 2, 6, 6)), requires_grad=True)
                 kc = Tensor(rng.uniform(-1, 1, (3, 2, 4, 4)) * 0.5, requires_grad=True)
+                bc = Tensor(rng.uniform(-1, 1, (3,)) * 0.5, requires_grad=True)
                 check_gradients(
-                    lambda: ad.mean(ad.leaky_relu(conv2d(xc, kc, stride=2, padding=1))),
-                    [xc, kc])
+                    lambda: ad.mean(conv2d(xc, kc, stride=2, padding=1, bias=bc, leak=0.2)),
+                    [xc, kc, bc])
                 instances += 1
 
                 xt = Tensor(rng.uniform(-1, 1, (1, 3, 3, 3)), requires_grad=True)

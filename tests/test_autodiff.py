@@ -11,7 +11,8 @@ from aift.autodiff import Tensor, no_grad
 from aift.errors import ContractError, DimensionError, DomainError
 
 from oracles import (check_gradients, conv2d_kernel_grad_channel_major, conv2d_loops,
-                     conv2d_tap_major, conv_transpose2d_loops, conv_transpose2d_tap_major)
+                     conv2d_tap_major, conv_transpose2d_loops, conv_transpose2d_tap_major,
+                     leaky_relu_where)
 
 RNG = np.random.default_rng(20240811)
 
@@ -87,44 +88,35 @@ class TestForwardValues:
         assert np.all(np.isfinite(out.data))
 
     @_SLOPES
-    def test_leaky_relu_equals_where_form_bit_for_bit(self, slope, dtype):
-        rng = np.random.default_rng(5)
+    def test_leaky_equals_where_form_bit_for_bit(self, slope, dtype):
         info = np.finfo(dtype)
         tiny = info.smallest_subnormal
         x = np.concatenate([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
                              np.inf, -np.inf, info.max, -info.max],
-                            rng.standard_normal(50)]).astype(dtype)
-        uint = np.uint64 if dtype == np.float64 else np.uint32
-        out = ad.leaky_relu(Tensor(x), slope)
-        ref = np.where(x > 0.0, x, slope * x)
-        # unsigned views, so that -0.0 and 0.0 count as different
-        assert out.data.dtype == dtype
-        assert np.array_equal(out.data.view(uint), ref.view(uint))
-        # the gradient of a NaN input takes the slope, as in the where form,
-        # and so does a gradient of the other dtype
-        x = np.append(x, dtype(np.nan))
-        for gtype, guint in ((np.float64, np.uint64), (np.float32, np.uint32)):
-            a = Tensor(x, requires_grad=True)
-            g = rng.standard_normal(x.shape).astype(gtype)
-            ad.leaky_relu(a, slope)._backward(g)
-            expected = np.where(x > 0.0, g, slope * g)
-            assert a.grad.dtype == gtype
-            assert np.array_equal(a.grad.view(guint), expected.view(guint))
+                            np.random.default_rng(5).standard_normal(50)]).astype(dtype)
+        out, _ = ad._leaky(x, slope)
+        ref, _ = leaky_relu_where(x, x, slope)
+        assert out.dtype == dtype
+        assert np.array_equal(_bits(out), _bits(ref))
 
     @_SLOPES
-    def test_leaky_gradient_from_output_signs_bit_for_bit(self, slope, dtype):
-        # what the conv ops' leak relies on: for a slope in (0, 1] the
-        # output's signs give the input's gradient, also for -0.0, negative
-        # subnormals whose output underflows to -0.0, infinities and NaN
+    def test_leaky_gradient_equals_where_form_bit_for_bit(self, slope, dtype):
+        # the gradient reads the output's signs, which for a slope in (0, 1]
+        # are the input's, also for -0.0, negative subnormals whose output
+        # underflows to -0.0, infinities and NaN; a gradient of the other
+        # dtype keeps its own
         info = np.finfo(dtype)
         tiny = info.smallest_subnormal
         x = np.concatenate([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny, np.inf, -np.inf,
                              info.max, -info.max, np.nan],
                             np.random.default_rng(7).standard_normal(50)]).astype(dtype)
-        out, grad = ad._leaky(x, slope)
-        g = np.random.default_rng(8).standard_normal(x.shape).astype(dtype)
-        g[:4] = [0.0, -0.0, -0.0, 0.0]
-        assert np.array_equal(_bits(grad(g, out)), _bits(grad(g, x)))
+        _, grad = ad._leaky(x, slope)
+        for gtype in (np.float64, np.float32):
+            g = np.random.default_rng(8).standard_normal(x.shape).astype(gtype)
+            g[:4] = [0.0, -0.0, -0.0, 0.0]
+            _, ref = leaky_relu_where(x, g, slope)
+            assert grad(g).dtype == gtype
+            assert np.array_equal(_bits(grad(g)), _bits(ref))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sigmoid_equals_boolean_mask_form_bit_for_bit(self, dtype):
@@ -145,12 +137,6 @@ class TestForwardValues:
         assert out.dtype == dtype
         assert np.array_equal(out.view(uint), mask_form(x).view(uint))
         assert np.isnan(ad.sigmoid(Tensor(np.array([np.nan], dtype=dtype))).data).all()
-
-    def test_leaky_relu_with_zero_slope_on_finite_input(self):
-        x = np.array([-0.0, 0.0, -2.0, 3.0, -np.finfo(np.float64).smallest_subnormal])
-        ref = np.where(x > 0.0, x, 0.0 * x)
-        assert np.array_equal(ad.leaky_relu(Tensor(x), 0.0).data.view(np.uint64),
-                              ref.view(np.uint64))
 
     def test_mean_and_sum(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
@@ -220,11 +206,9 @@ class TestGradChecks:
         b = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         check_gradients(lambda: ad.mean(ad.mul(ad.add(a, b), ad.sub(a, b))), [a, b])
 
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh,
-                                    lambda t: ad.leaky_relu(t, 0.2)])
-    def test_nonlinearities(self, op):
+    def test_sigmoid_gradient(self):
         x = _t(2, 5)
-        check_gradients(lambda: ad.mean(op(x)), [x])
+        check_gradients(lambda: ad.mean(ad.sigmoid(x)), [x])
 
     def test_log_gradient(self):
         x = _t(6, lo=0.1, hi=0.9)
@@ -512,7 +496,7 @@ class TestConvolutionValues:
                              [(False, 1, 32, 16), (False, 64, 4, 128),
                               (True, 128, 2, 64), (True, 32, 8, 16)],
                              ids=["enc0", "enc3", "dec0", "dec2"])
-    def test_leak_matches_leaky_relu_bit_for_bit(self, transpose, channels, size, kernels,
+    def test_leak_matches_where_form_bit_for_bit(self, transpose, channels, size, kernels,
                                                  batch, dtype):
         rng = np.random.default_rng(2700 + channels + kernels + batch)
         x = rng.standard_normal((batch, channels, size, size)).astype(dtype)
@@ -533,7 +517,17 @@ class TestConvolutionValues:
             else:
                 pre = op(xt, kt, 2, 1, bias=bt)
                 assert (_bits(pre.data) == 0).any() and (pre.data < 0).any()
-                y = ad.leaky_relu(pre, 0.2)
+
+                def backward(g):
+                    # the where form's values, laid out in memory as the
+                    # fused op's gradient is (numpy picks that order from g
+                    # and the output), so that the sums behind it add in the
+                    # same order
+                    grad = np.empty_like(ad._leaky(pre.data, 0.2)[1](g))
+                    grad[...] = leaky_relu_where(pre.data, g, 0.2)[1]
+                    ad._accumulate(pre, grad)
+
+                y = ad._record(leaky_relu_where(pre.data, pre.data, 0.2)[0], (pre,), backward)
             g = np.random.default_rng(2701).standard_normal(y.shape).astype(dtype)
             g[:, :, 0], g[:, :, 1] = 0.0, -0.0
             ad.tsum(ad.mul(y, Tensor(g))).backward()
@@ -622,7 +616,7 @@ class TestGraphMemory:
 
         h = ad._record(x.data * 1.0, (x,), bottom_backward)
         for _ in range(4):
-            for op in (lambda t: ad.mul_scalar(t, 0.5), ad.tanh):
+            for op in (lambda t: ad.mul_scalar(t, 0.5), ad.sigmoid):
                 h = op(h)
                 dead.append(weakref.ref(h.data))
         loss = ad.mean(h)
@@ -651,51 +645,56 @@ def _kernel_grad_loops(x, g, kshape, stride, padding, transpose):
     return grad
 
 
-# name: (leaf shapes, scalar loss through the op, range of the leaf values)
+# name: (seed, leaf shapes, scalar loss through the op, range of the leaf values);
+# each case keeps its seed when another is added or removed
 _OPS = {
-    "add": ([(2, 3), (2, 3)], lambda a, b: ad.mean(ad.add(a, b)), (-1, 1)),
-    "sub": ([(2, 3), (2, 3)], lambda a, b: ad.mean(ad.sub(a, b)), (-1, 1)),
-    "mul": ([(2, 3), (2, 3)], lambda a, b: ad.tsum(ad.mul(a, b)), (-1, 1)),
-    "neg-scalars": ([(4,)], lambda a: ad.mean(1.5 - 2.0 * (-a) + 0.5), (-1, 1)),
-    "log": ([(5,)], lambda a: ad.mean(ad.log(a)), (0.1, 1)),
-    "sigmoid": ([(5,)], lambda a: ad.mean(ad.sigmoid(a)), (-30, 30)),
-    "tanh": ([(5,)], lambda a: ad.mean(ad.tanh(a)), (-1, 1)),
-    "leaky_relu": ([(5,)], lambda a: ad.mean(ad.leaky_relu(a, 0.2)), (-1, 1)),
-    "clip": ([(5,)], lambda a: ad.mean(ad.clip(a, -0.5, 0.5)), (-1, 1)),
-    "flatten": ([(2, 3, 2)], lambda a: ad.mean(ad.flatten(a)), (-1, 1)),
-    "dense": ([(3, 4), (4, 2), (2,)], lambda x, w, b: ad.mean(ad.dense(x, w, b)), (-1, 1)),
-    "conv2d-bias": ([(2, 3, 8, 8), (5, 3, 4, 4), (5,)],
+    "add": (0, [(2, 3), (2, 3)], lambda a, b: ad.mean(ad.add(a, b)), (-1, 1)),
+    "sub": (17, [(2, 3), (2, 3)], lambda a, b: ad.mean(ad.sub(a, b)), (-1, 1)),
+    "mul": (14, [(2, 3), (2, 3)], lambda a, b: ad.tsum(ad.mul(a, b)), (-1, 1)),
+    "neg-scalars": (15, [(4,)], lambda a: ad.mean(1.5 - 2.0 * (-a) + 0.5), (-1, 1)),
+    "log": (13, [(5,)], lambda a: ad.mean(ad.log(a)), (0.1, 1)),
+    "sigmoid": (16, [(5,)], lambda a: ad.mean(ad.sigmoid(a)), (-30, 30)),
+    "clip": (1, [(5,)], lambda a: ad.mean(ad.clip(a, -0.5, 0.5)), (-1, 1)),
+    "flatten": (11, [(2, 3, 2)], lambda a: ad.mean(ad.flatten(a)), (-1, 1)),
+    "dense": (10, [(3, 4), (4, 2), (2,)], lambda x, w, b: ad.mean(ad.dense(x, w, b)), (-1, 1)),
+    "conv2d-bias": (2, [(2, 3, 8, 8), (5, 3, 4, 4), (5,)],
                     lambda x, k, b: ad.mean(ad.conv2d(x, k, 2, 1, bias=b)), (-1, 1)),
-    "conv_transpose2d-bias": ([(2, 5, 3, 3), (5, 3, 4, 4), (3,)],
+    "conv_transpose2d-bias": (6, [(2, 5, 3, 3), (5, 3, 4, 4), (3,)],
                               lambda x, k, b: ad.mean(ad.conv_transpose2d(x, k, 2, 1, bias=b)),
+                              (-1, 1)),
+    "conv2d-leak": (19, [(2, 3, 8, 8), (5, 3, 4, 4), (5,)],
+                    lambda x, k, b: ad.mean(ad.conv2d(x, k, 2, 1, bias=b, leak=0.2)), (-1, 1)),
+    "conv_transpose2d-leak": (20, [(2, 5, 3, 3), (5, 3, 4, 4), (3,)],
+                              lambda x, k, b: ad.mean(
+                                  ad.conv_transpose2d(x, k, 2, 1, bias=b, leak=0.2)),
                               (-1, 1)),
     # conv2d's input gradient takes _correlate_adjoint's kernel route when
     # there are more output pixels than kernels
-    "conv2d-kernel-route": ([(2, 3, 8, 8), (5, 3, 4, 4)],
+    "conv2d-kernel-route": (4, [(2, 3, 8, 8), (5, 3, 4, 4)],
                             lambda x, k: ad.mean(ad.conv2d(x, k, 2, 1)), (-1, 1)),
     # fewer output pixels than kernels: the product route
-    "conv2d-product-route": ([(1, 3, 4, 4), (40, 3, 4, 4)],
+    "conv2d-product-route": (5, [(1, 3, 4, 4), (40, 3, 4, 4)],
                              lambda x, k: ad.mean(ad.conv2d(x, k, 2, 1)), (-1, 1)),
     # a 3x3 kernel at stride 2 is zero-padded to 4x4 in the scatter
-    "conv2d-k3-s2": ([(2, 3, 7, 7), (4, 3, 3, 3)],
+    "conv2d-k3-s2": (3, [(2, 3, 7, 7), (4, 3, 3, 3)],
                      lambda x, k: ad.mean(ad.conv2d(x, k, 2, 0)), (-1, 1)),
     # conv_transpose2d's forward pass takes the kernel route when there are
     # more input pixels than input channels, and the product route otherwise
-    "conv_transpose2d-kernel-route": ([(2, 5, 3, 3), (5, 3, 4, 4)],
+    "conv_transpose2d-kernel-route": (8, [(2, 5, 3, 3), (5, 3, 4, 4)],
                                       lambda x, k: ad.mean(ad.conv_transpose2d(x, k, 2, 1)),
                                       (-1, 1)),
-    "conv_transpose2d-product-route": ([(1, 8, 1, 2), (8, 3, 4, 4)],
+    "conv_transpose2d-product-route": (9, [(1, 8, 1, 2), (8, 3, 4, 4)],
                                        lambda x, k: ad.mean(ad.conv_transpose2d(x, k, 2, 1)),
                                        (-1, 1)),
-    "conv_transpose2d-k3-s2": ([(2, 3, 4, 5), (3, 2, 3, 3)],
+    "conv_transpose2d-k3-s2": (7, [(2, 3, 4, 5), (3, 2, 3, 3)],
                                lambda x, k: ad.mean(ad.conv_transpose2d(x, k, 2, 0)), (-1, 1)),
 }
 
 
 def _run_op(name, dtype):
     """The loss and leaf gradients of one _OPS case, on seeded values in ``dtype``."""
-    shapes, loss_of, (lo, hi) = _OPS[name]
-    rng = np.random.default_rng(sorted(_OPS).index(name))
+    seed, shapes, loss_of, (lo, hi) = _OPS[name]
+    rng = np.random.default_rng(seed)
     leaves = [Tensor(rng.uniform(lo, hi, shape).astype(dtype), requires_grad=True)
               for shape in shapes]
     loss = loss_of(*leaves)

@@ -3,9 +3,11 @@
 import argparse
 import fcntl
 import os
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -571,6 +573,18 @@ class TestTransform:
         rc = main(["detect", "--ckpt", str(bad), "--image", str(patch_image(tmp_path)),
                    "--out", str(out)])
         assert_failed_without_output(rc, 4, "integrity error", capsys, out, "checksum")
+
+    def test_shape_whose_size_overflows_is_integrity_error(self, ckpt, tmp_path, capsys):
+        # gen.enc.0.w declared as (2**31, 2**31, 4): 2**64 values, 0 in int64
+        blob = bytearray(ckpt.read_bytes()[:-4])
+        at = blob.index(b"gen.enc.0.w") + len("gen.enc.0.w")
+        blob[at:at + 4 + 4 * 4] = struct.pack("<4I", 3, 2**31, 2**31, 4)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+        out = tmp_path / "run"
+        rc = main(["detect", "--ckpt", str(bad), "--image", str(patch_image(tmp_path)),
+                   "--out", str(out)])
+        assert_failed_without_output(rc, 4, "integrity error", capsys, out, "listing")
 
     @pytest.mark.parametrize("command", ["transform", "detect"])
     def test_missing_checkpoint_is_input_error(self, command, tmp_path, capsys):

@@ -22,6 +22,17 @@ def seal(body):
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
+def with_overflowing_shape(blob, version):
+    """The saved checkpoint ``blob`` as a file of ``version`` in which
+    gen.enc.0.w is declared as (2**31, 2**31, 4): 2**64 values, which is 0
+    in int64."""
+    body = bytearray(blob[:-4])
+    at = body.index(b"gen.enc.0.w") + len("gen.enc.0.w")
+    body[at:at + 4 + 4 * 4] = struct.pack("<4I", 3, 2**31, 2**31, 4)
+    struct.pack_into("<H", body, 4, version)
+    return seal(body) if version == 2 else bytes(body)
+
+
 class TestInit:
     def test_deterministic(self):
         a = init_params(32, seed=9, base_channels=8)
@@ -112,6 +123,13 @@ class TestForward:
         with pytest.raises(ConfigurationError):
             generate(p, Tensor(np.zeros((1, 1, 16, 16))), "sideways")
 
+    @pytest.mark.parametrize("run", [lambda p, x: generate(p, x, I2F),
+                                     lambda p, x: discriminate(p, x, "frequency")],
+                             ids=["generate", "discriminate"])
+    def test_empty_batch_rejected(self, run):
+        with pytest.raises(DimensionError, match=r"with N >= 1, got \(0, 1, 16, 16\)"):
+            run(small_params(), Tensor(np.zeros((0, 1, 16, 16), np.float32)))
+
     def test_same_seed_same_outputs(self):
         x = np.random.default_rng(5).uniform(0, 1, (1, 1, 16, 16))
         a = generate(small_params(7), Tensor(x), I2F).data
@@ -195,6 +213,14 @@ class TestCheckpoint:
         blob[blob.index(b"gen.enc.0.w") + len("gen.enc.0.w") + 4 + 4 * 4] ^= 0x7F
         path.write_bytes(bytes(blob))
         with pytest.raises(IntegrityError, match="checksum"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rejects_a_shape_whose_size_overflows(self, version, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_params(), path)
+        path.write_bytes(with_overflowing_shape(path.read_bytes(), version))
+        with pytest.raises(IntegrityError, match="listing"):
             load_checkpoint(path)
 
     def test_version_1_without_checksum_still_loads(self, tmp_path):

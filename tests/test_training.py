@@ -176,6 +176,15 @@ class TestTrainStep:
             np.testing.assert_array_equal(t.data, disc_before[name])
             assert t.grad is None
 
+    @pytest.mark.parametrize("mode", ["re", "gan", "total"])
+    def test_empty_batch_rejected(self, mode):
+        params = init_params(16, 0, base_channels=4)
+        cfg = _fresh(mode)
+        g_opt, d_opt = _opts(params, cfg)
+        empty = np.zeros((0, 1, 16, 16))
+        with pytest.raises(DimensionError, match="N >= 1"):
+            train_step(params, (empty, empty), cfg, g_opt, d_opt)
+
     def test_phases_update_disjoint_sets(self):
         images, freqs = toy_batch()
         params = init_params(16, 1, base_channels=4)
