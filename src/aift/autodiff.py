@@ -56,8 +56,9 @@ _grad_enabled = True
 def no_grad():
     """Context manager that suspends graph recording.
 
-    Values computed inside come out as plain leaves, which is how generated
-    samples are detached before being scored by a critic.
+    Values computed inside come out as plain leaves.  It is the engine's
+    one way to cut the graph: generated samples are made under it before a
+    critic scores them, and logged losses are computed under it.
     """
     global _grad_enabled
     prev = _grad_enabled
@@ -89,17 +90,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a single value, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

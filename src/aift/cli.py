@@ -282,8 +282,8 @@ def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
     first = load_image(manifest.image_path(entries[0]))
     patch = _infer_patch_size(first, patch_flag)
     patches: list[np.ndarray] = []
-    for entry in entries:
-        image = load_image(manifest.image_path(entry))
+    for i, entry in enumerate(entries):
+        image = load_image(manifest.image_path(entry)) if i else first
         patches.extend(normalize_patch(p) for _, _, p in extract_patches(image, patch))
     images = np.stack(patches)[:, None, :, :]
     freqs = np.stack([spectrum_image(p) for p in patches])[:, None, :, :]
@@ -329,6 +329,15 @@ def _map_stem(used: set[str], rel_path: str) -> str:
             stem = f"{base}_{n}"
     used.add(stem)
     return stem
+
+
+def _read_mask(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The binary ground-truth mask at ``path``, whose score map has ``shape``."""
+    gt = read_pgm(path) > 0.5
+    if gt.shape != shape:
+        raise InputError(
+            f"mask {path.stem}: shape {gt.shape} differs from its score map's {shape}")
+    return gt
 
 
 def _read_map_csv(path: Path) -> np.ndarray:
@@ -496,11 +505,7 @@ def _load_maps_and_gt(maps_dir: str, gt_dir: str):
             f"score maps and ground truth are misaligned "
             f"(maps without masks: {missing}, masks without maps: {extra})")
     preds = [_read_map_csv(p) for p in map_files]
-    gts = [read_pgm(gt_path / f"{p.stem}.pgm") > 0.5 for p in map_files]
-    for path, pred, gt in zip(map_files, preds, gts):
-        if gt.shape != pred.shape:
-            raise InputError(f"mask {path.stem}: shape {gt.shape} differs from its "
-                             f"score map's {pred.shape}")
+    gts = [_read_mask(gt_path / f"{p.stem}.pgm", pred.shape) for p, pred in zip(map_files, preds)]
     return preds, gts
 
 
@@ -542,7 +547,7 @@ def cmd_ablation(args: argparse.Namespace) -> None:
     tests = _test_images(manifest, patch)
     labels = np.array([e.label == "defect" for e, _ in tests])
     _check_both_classes(labels, f"{manifest.root / 'manifest.csv'} test split")
-    seg_gts = [read_pgm(manifest.mask_path(e)) > 0.5 for e, _ in tests if e.mask]
+    seg_gts = [_read_mask(manifest.mask_path(e), image.shape) for e, image in tests if e.mask]
 
     with _run_dir(args) as run:
         cells_of: dict[tuple[str, int], list] = {}

@@ -6,8 +6,8 @@ Standard update with bias correction:
     v_t = b2 * v_{t-1} + (1 - b2) * g^2
     p  -= lr * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + EPS)
 
-A missing gradient counts as an exact zero, so parameters stand still while
-the moment estimates decay.  With lr = 0 the parameter bits do not change.
+A missing gradient counts as an exact zero: the moment estimates decay, and
+a nonzero m_t still moves the parameter.  With lr = 0 its bits do not change.
 """
 
 from __future__ import annotations

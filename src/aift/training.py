@@ -4,11 +4,13 @@ One training step runs two phases on a minibatch of (spatial patch,
 frequency image) pairs:
 
 * critic phase: ``critic_iters`` ascent steps on the discriminator
-  parameters, maximizing the adversarial transform-consistency objective.
+  parameters, maximizing the adversarial transform-consistency objective,
+  the sum of each domain's critic score E[log D(real)] + E[log(1 - D(fake))].
   The generator is frozen here; its fake samples are produced once per step
-  with gradients disabled and reused across all critic iterations.
-* generator phase: one descent step on the generator parameters.  The
-  adversarial part uses the non-saturating form (minimize -log D(fake)),
+  with gradients disabled and reused across all critic iterations.  The
+  last iteration's scores are logged as ``d_image_loss`` and ``d_freq_loss``.
+* generator phase: one descent step on the generator parameters.  Its
+  adversarial part is the non-saturating -log D(fake) of both domains,
   combined with the bidirectional reconstruction term weighted by lambda.
 
 ``loss_mode`` selects the objective: ``re`` trains on reconstruction alone
@@ -114,9 +116,9 @@ def _mean_log(p: Tensor) -> Tensor:
     return ad.mean(ad.log(ad.clip(p, LIKELIHOOD_EPS, 1.0)))
 
 
-def _mean_log_one_minus(p: Tensor) -> Tensor:
-    one_minus = ad.add_scalar(ad.neg(p), 1.0)
-    return ad.mean(ad.log(ad.clip(one_minus, LIKELIHOOD_EPS, 1.0)))
+def _critic_score(d_real: Tensor, d_fake: Tensor) -> Tensor:
+    """One domain's critic term, E[log D(real)] + E[log(1 - D(fake))]."""
+    return ad.add(_mean_log(d_real), _mean_log(1.0 - d_fake))
 
 
 def _check_likelihood(t: Tensor, term: str) -> Tensor:
@@ -131,18 +133,16 @@ def atcl_loss(d_image_real: Tensor, d_freq_real: Tensor,
               d_freq_fake: Tensor, d_image_fake: Tensor) -> Tensor:
     """Adversarial transform-consistency objective (the critic maximizes it).
 
-    Sum of mean log-likelihood of real samples in both domains plus mean
-    log of one minus the likelihood assigned to translated (fake) samples.
+    The image domain's critic score plus the frequency domain's, each
+    E[log D(real)] + E[log(1 - D(fake))] over translated (fake) samples.
     All likelihoods are clamped away from {0, 1} before taking logs.
     """
     _check_likelihood(d_image_real, "d_image_real")
     _check_likelihood(d_freq_real, "d_freq_real")
     _check_likelihood(d_freq_fake, "d_freq_fake")
     _check_likelihood(d_image_fake, "d_image_fake")
-    value = ad.add(
-        ad.add(_mean_log(d_image_real), _mean_log(d_freq_real)),
-        ad.add(_mean_log_one_minus(d_freq_fake), _mean_log_one_minus(d_image_fake)),
-    )
+    value = ad.add(_critic_score(d_image_real, d_image_fake),
+                   _critic_score(d_freq_real, d_freq_fake))
     return _check_scalar_finite(value, "atcl")
 
 
@@ -163,15 +163,10 @@ def recon_loss(x_image: Tensor, x_freq: Tensor,
     return _check_scalar_finite(value, "reconstruction")
 
 
-def total_loss(atcl, recon, lam: float):
-    """Weighted combination atcl + lam * recon (tensors or plain floats)."""
-    return atcl + lam * recon
-
-
-def _domain_loss(d_real: Tensor, d_fake: Tensor) -> float:
-    """Per-domain critic score for logging: E[log D(real)] + E[log(1 - D(fake))]."""
-    value = ad.add(_mean_log(d_real), _mean_log_one_minus(d_fake)).item()
-    return float(value)
+def total_loss(adv, recon, lam: float):
+    """adv + lam * recon (tensors or plain floats), where adv is the generator's
+    non-saturating adversarial term -(E[log D(fake freq)] + E[log D(fake image)])."""
+    return adv + lam * recon
 
 
 def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
@@ -202,8 +197,9 @@ def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
             ascent = ad.neg(atcl)
             ascent.backward()
             d_opt.step()
-        d_image_loss = _domain_loss(d_image_real.detach(), d_image_fake.detach())
-        d_freq_loss = _domain_loss(d_freq_real.detach(), d_freq_fake.detach())
+        with no_grad():
+            d_image_loss = _critic_score(d_image_real, d_image_fake).item()
+            d_freq_loss = _critic_score(d_freq_real, d_freq_fake).item()
 
     g_opt.zero_grad()
     gen_freq = generate(params, x_image, I2F)

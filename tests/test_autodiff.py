@@ -148,6 +148,27 @@ class TestForwardValues:
         with pytest.raises(ContractError):
             ad.mul(a, a).backward()
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: ad.clip(Tensor([0.5]), 1.0, 1.0), DomainError, "clip needs lo < hi"),
+        (lambda: ad.clip(Tensor([0.5]), 1.0, 0.0), DomainError, "clip needs lo < hi"),
+        (lambda: ad.mean(Tensor(np.zeros((2, 0)))), DimensionError, "mean of an empty tensor"),
+        (lambda: ad.flatten(Tensor(np.zeros(3))), DimensionError, "flatten needs rank >= 2"),
+        (lambda: ad.dense(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))),
+         DimensionError, "dense expects 2-D operands"),
+        (lambda: ad.dense(Tensor(np.zeros((1, 3))), Tensor(np.zeros((4, 2))),
+                          Tensor(np.zeros(2))), DimensionError, "inner axes differ, 3 vs 4"),
+        (lambda: ad.dense(Tensor(np.zeros((1, 3))), Tensor(np.zeros((3, 2))),
+                          Tensor(np.zeros(1))), DimensionError, r"bias must have shape \(2,\)"),
+        (lambda: Tensor(np.zeros(2)).item(), DimensionError, r"item\(\) needs a single value"),
+        (lambda: ad.mean(Tensor(np.zeros(2))).backward(), ContractError,
+         "does not require gradients"),
+    ], ids=["clip-lo-equals-hi", "clip-lo-above-hi", "mean-empty", "flatten-1-d",
+            "dense-1-d-input", "dense-inner-axes", "dense-bias", "item-of-two-values",
+            "backward-without-gradients"])
+    def test_rejects_misuse(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
 
 class TestBackwardBasics:
     def test_misshaped_gradient_is_a_contract_error(self):
@@ -178,13 +199,6 @@ class TestBackwardBasics:
         with no_grad():
             y = ad.mul(x, x)
         assert not y.requires_grad and y._backward is None
-
-    def test_detach_breaks_the_graph(self):
-        x = _t(4)
-        y = ad.mul(x, x).detach()
-        assert not y.requires_grad
-        z = ad.mean(ad.mul(y, y))
-        assert not z.requires_grad
 
     def test_backward_order_is_reverse_insertion(self):
         # a diamond: x -> (u, v) -> w; both branches must contribute to x
@@ -540,6 +554,29 @@ class TestConvolutionValues:
     def test_kernel_larger_than_input(self):
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+    # a (1, 1, 2, 2) kernel has one input and one output channel for either op
+    @pytest.mark.parametrize("op, x_shape, k_shape, stride, padding, message", [
+        (ad.conv2d, (1, 1, 4, 4), (1, 1, 2, 2), 0, 0, "stride must be >= 1, got 0"),
+        (ad.conv_transpose2d, (1, 1, 4, 4), (1, 1, 2, 2), 0, 0, "stride must be >= 1, got 0"),
+        (ad.conv2d, (1, 1, 4, 4), (1, 1, 2, 2), 1, -1, "padding must be >= 0, got -1"),
+        (ad.conv_transpose2d, (1, 1, 4, 4), (1, 1, 2, 2), 1, -1,
+         "padding must be >= 0, got -1"),
+        (ad.conv2d, (1, 4, 4), (1, 1, 2, 2), 1, 0, r"conv2d input must be \[N, C, H, W\]"),
+        (ad.conv_transpose2d, (1, 4, 4), (1, 1, 2, 2), 1, 0,
+         r"conv_transpose2d input must be \[N, C, H, W\]"),
+        (ad.conv2d, (1, 1, 4, 4), (1, 2, 2), 1, 0, r"conv2d kernel must be \[K, C, kh, kw\]"),
+        (ad.conv_transpose2d, (1, 1, 4, 4), (1, 2, 2), 1, 0,
+         r"conv_transpose2d kernel must be \[C, K, kh, kw\]"),
+        (ad.conv_transpose2d, (1, 1, 1, 1), (1, 1, 2, 2), 1, 1,
+         "padding 1 consumes the whole 2x2 output"),
+    ], ids=["conv2d-stride-0", "conv_transpose2d-stride-0", "conv2d-padding-minus-1",
+            "conv_transpose2d-padding-minus-1", "conv2d-3-d-input", "conv_transpose2d-3-d-input",
+            "conv2d-3-d-kernel", "conv_transpose2d-3-d-kernel",
+            "conv_transpose2d-padding-consumes-output"])
+    def test_rejects_bad_geometry(self, op, x_shape, k_shape, stride, padding, message):
+        with pytest.raises(DimensionError, match=message):
+            op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), stride, padding)
 
 
 class TestGraphMemory:

@@ -946,3 +946,19 @@ class TestAblation:
         assert_failed_without_output(rc, 3, "input error", capsys, out,
                                      "no defect rows; AUROC needs both classes")
         assert trained == []
+
+    def test_mask_shape_mismatch_trains_nothing(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "corpus"
+        assert main(["synth", "--normal", "8", "--defect", "2", "--patch-size", "16",
+                     "--seed", "1", "--out", str(data)]) == 0
+        write_pgm(data / "masks" / "test_defect_00000.pgm", np.zeros((8, 8)))
+        capsys.readouterr()
+        trained = []
+        monkeypatch.setattr("aift.cli.train", lambda *a, **k: trained.append(a))
+        out = tmp_path / "abl"
+        rc = main(["ablation", "--data", str(data), "--seeds", "0", "--loss-modes", "re",
+                   "--epochs", "1", "--batch", "4", "--critic-iters", "1",
+                   "--base-channels", "2", "--out", str(out)])
+        assert_failed_without_output(rc, 3, "input error", capsys, out,
+                                     "mask test_defect_00000: shape (8, 8) differs")
+        assert trained == []

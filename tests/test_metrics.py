@@ -73,6 +73,14 @@ class TestAiu:
         with pytest.raises(MetricError):
             aiu(np.full((4, 4), 1.5), np.zeros((4, 4), dtype=bool))
 
+    @pytest.mark.parametrize("pred_shape, gt_shape, message", [
+        ((4, 4), (4, 5), r"ground truth shape \(4, 5\) does not match prediction \(4, 4\)"),
+        ((1, 4, 4), (1, 4, 4), r"prediction map must be 2-D, got shape \(1, 4, 4\)"),
+    ], ids=["gt-shape", "map-3-d"])
+    def test_rejects_misshaped_maps(self, pred_shape, gt_shape, message):
+        with pytest.raises(DimensionError, match=message):
+            aiu(np.full(pred_shape, 0.5), np.zeros(gt_shape, dtype=bool))
+
 
 class TestFMeasures:
     def test_f_matches_brute_force(self):
@@ -197,6 +205,15 @@ class TestAuroc:
         with pytest.raises(MetricError):
             auroc(np.arange(5.0), np.ones(5, dtype=bool))
 
+    @pytest.mark.parametrize("scores, error, message", [
+        ([0.1, 0.2, 0.3], DimensionError, "3 scores vs 4 labels"),
+        ([0.1, np.nan, 0.3, 0.4], MetricError, "auroc: non-finite score"),
+        ([0.1, 0.2, np.inf, 0.4], MetricError, "auroc: non-finite score"),
+    ], ids=["size-mismatch", "nan-score", "inf-score"])
+    def test_rejects_malformed_scores(self, scores, error, message):
+        with pytest.raises(error, match=message):
+            auroc(scores, [True, False, True, False])
+
     def test_shuffled_labels_near_half(self):
         rng = np.random.default_rng(0)
         scores = rng.uniform(0, 1, 200)
@@ -225,6 +242,16 @@ class TestEvaluate:
     def test_needs_some_input(self):
         with pytest.raises(MetricError):
             evaluate()
+
+    @pytest.mark.parametrize("inputs, message", [
+        ({"preds": [np.zeros((4, 4))]}, "prediction maps need matching ground-truth masks"),
+        ({"scores": [0.9, 0.1]}, "auroc needs both scores and labels"),
+        ({"preds": [np.zeros((4, 4))], "gts": [np.zeros((4, 4), dtype=bool)],
+          "labels": [1, 0]}, "auroc needs both scores and labels"),
+    ], ids=["maps-without-masks", "scores-without-labels", "labels-without-scores"])
+    def test_rejects_one_sided_inputs(self, inputs, message):
+        with pytest.raises(MetricError, match=message):
+            evaluate(**inputs)
 
     def test_csv_round_numbers(self):
         gt = np.zeros((4, 4), dtype=bool)

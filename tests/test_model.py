@@ -22,6 +22,14 @@ def seal(body):
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
+def packed(offset, fmt, value):
+    """An edit that writes ``value`` at ``offset`` of a checkpoint body."""
+    def edit(body):
+        struct.pack_into(fmt, body, offset, value)
+        return body
+    return edit
+
+
 def with_overflowing_shape(blob, version):
     """The saved checkpoint ``blob`` as a file of ``version`` in which
     gen.enc.0.w is declared as (2**31, 2**31, 4): 2**64 values, which is 0
@@ -60,6 +68,11 @@ class TestInit:
             init_params(24, 0)
         with pytest.raises(ConfigurationError):
             init_params(16, -1)
+
+    @pytest.mark.parametrize("base", [0, -4])
+    def test_base_channels_validation(self, base):
+        with pytest.raises(ConfigurationError, match=f"base_channels must be >= 1, got {base}"):
+            init_params(16, 0, base_channels=base)
 
     def test_channel_progression(self):
         p = init_params(16, 0, base_channels=4)
@@ -120,8 +133,13 @@ class TestForward:
         p = small_params()
         with pytest.raises(DimensionError):
             generate(p, Tensor(np.zeros((1, 1, 8, 8))), I2F)
-        with pytest.raises(ConfigurationError):
-            generate(p, Tensor(np.zeros((1, 1, 16, 16))), "sideways")
+
+    @pytest.mark.parametrize("run, message", [
+        (generate, "direction must be one of"), (discriminate, "domain must be one of")],
+        ids=["generate", "discriminate"])
+    def test_unknown_direction_or_domain_rejected(self, run, message):
+        with pytest.raises(ConfigurationError, match=f"{message} .*, got 'sideways'"):
+            run(small_params(), Tensor(np.zeros((1, 1, 16, 16))), "sideways")
 
     @pytest.mark.parametrize("run", [lambda p, x: generate(p, x, I2F),
                                      lambda p, x: discriminate(p, x, "frequency")],
@@ -221,6 +239,23 @@ class TestCheckpoint:
         save_checkpoint(small_params(), path)
         path.write_bytes(with_overflowing_shape(path.read_bytes(), version))
         with pytest.raises(IntegrityError, match="listing"):
+            load_checkpoint(path)
+
+    # header offsets: version 4, patch size 6, seed 10, stage count 18, the
+    # four stage widths 22 (4, 8, 16, 32 for small_params), tensor count 38
+    @pytest.mark.parametrize("edit, message", [
+        (lambda body: body[:len(body) // 2], "^checkpoint truncated$"),
+        (packed(4, "<H", 3), "^unsupported checkpoint version 3$"),
+        (packed(6, "<I", 48), "^checkpoint declares unsupported patch size 48$"),
+        (packed(26, "<I", 12),
+         r"^checkpoint declares malformed channel widths \[4, 12, 16, 32\]$"),
+        (packed(38, "<I", 33), "listing"),
+    ], ids=["truncated", "version-3", "patch-size-48", "widths-not-doubling", "count-33"])
+    def test_rejects_a_sealed_malformed_file(self, edit, message, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_params(), path)
+        path.write_bytes(seal(edit(bytearray(path.read_bytes()[:-4]))))
+        with pytest.raises(IntegrityError, match=message):
             load_checkpoint(path)
 
     def test_version_1_without_checksum_still_loads(self, tmp_path):

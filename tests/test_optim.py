@@ -59,10 +59,13 @@ def test_zero_grad_decays_moments():
     p.grad = np.array([1.0])
     opt.step()
     m_before = abs(opt.state.m[0][0])
+    assert p.data[0] == pytest.approx(1.9)
     opt.zero_grad()
     opt.step()
     assert abs(opt.state.m[0][0]) == pytest.approx(0.5 * m_before)
     assert opt.state.step == 2
+    # the decayed first moment still moves the parameter: by lr * (1/3) / sqrt(1/3)
+    assert p.data[0] == pytest.approx(1.9 - 0.1 / math.sqrt(3.0))
 
 
 def test_descends_a_quadratic():
