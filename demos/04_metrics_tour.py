@@ -5,7 +5,7 @@ Run:  python3 demos/04_metrics_tour.py
 
 import numpy as np
 
-from aift import THRESHOLDS, aiu, auroc, evaluate, iou, ods, ois
+from aift import THRESHOLDS, aiu, auroc, evaluate, f_measure
 
 
 def toy_set(rng, n=4):
@@ -30,22 +30,23 @@ def main():
 
     print("== one image, one threshold ==")
     mask = preds[0] >= 0.5
-    print(f"IoU at 0.5            : {iou(mask, gts[0]):.4f}")
+    print(f"F-measure at 0.5      : {f_measure(mask, gts[0]):.4f}")
 
     print()
     print("== threshold sweeps ==")
     print(f"threshold grid        : {THRESHOLDS[0]:.2f} .. {THRESHOLDS[-1]:.2f} "
           f"({THRESHOLDS.size} points)")
     print(f"AIU (first image)     : {aiu(preds[0], gts[0]):.4f}")
-    best_t, best_f = ods(preds, gts)
-    print(f"ODS                   : F={best_f:.4f} at shared threshold {best_t:.2f}")
-    print(f"OIS                   : {ois(preds, gts):.4f} (per-image best, averaged)")
+    report = evaluate(preds, gts)
+    print(f"ODS                   : F={report.ods:.4f} at shared threshold "
+          f"{report.ods_threshold:.2f}")
+    print(f"OIS                   : {report.ois:.4f} (per-image best, averaged)")
 
     print()
     print("== tolerance forgives small offsets ==")
     shifted = [np.roll(p, 1, axis=1) for p in preds]
-    _, strict_f = ods(shifted, gts)
-    _, loose_f = ods(shifted, gts, tolerance=1.5)
+    strict_f = evaluate(shifted, gts).ods
+    loose_f = evaluate(shifted, gts, tolerance=1.5).ods
     print(f"ODS with 1px shift    : {strict_f:.4f} (strict)  {loose_f:.4f} (tol=1.5)")
 
     print()

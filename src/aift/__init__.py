@@ -16,11 +16,10 @@ from .detection import (DetectionResult, detect, detect_full_image,
 from .errors import (AiftError, ConfigurationError, ContractError,
                      DimensionError, DomainError, InputError, IntegrityError,
                      MetricError)
-from .metrics import (MetricsReport, THRESHOLDS, aiu, auroc, evaluate,
-                      f_measure, iou, ods, ois)
+from .metrics import MetricsReport, THRESHOLDS, aiu, auroc, evaluate, f_measure
 from .model import (AiftParams, discriminate, generate, init_params,
                     load_checkpoint, save_checkpoint)
-from .optim import Adam, AdamState
+from .optim import Adam
 from .spectral import dft2, spectrum_image
 from .training import (EpochRecord, StepLosses, TrainConfig, TrainLog,
                        atcl_loss, recon_loss, total_loss, train, train_step)

@@ -523,9 +523,10 @@ def cmd_eval(args: argparse.Namespace) -> None:
         scores, labels = _read_scores_csv(args.scores)
     report = evaluate(preds, gts, scores, labels, tolerance=args.tolerance)
     with _run_dir(args) as run:
-        (run / "report.csv").write_text(report.to_csv())
+        text = report.to_csv()
+        (run / "report.csv").write_text(text)
         (run / "summary.csv").write_text(report.summary_csv())
-        print(report.to_csv().splitlines()[-1].lstrip("# "))
+        print(text.splitlines()[-1].lstrip("# "))
 
 
 def cmd_ablation(args: argparse.Namespace) -> None:

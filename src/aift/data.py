@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, DomainError, InputError
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -120,6 +120,8 @@ def normalize_patch(patch: np.ndarray) -> np.ndarray:
     patch = np.asarray(patch, dtype=np.float64)
     lo = patch.min()
     hi = patch.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("normalize_patch: patch holds a non-finite value")
     if hi > lo:
         return (patch - lo) / (hi - lo)
     return np.zeros_like(patch)

@@ -1,8 +1,10 @@
 """Exception taxonomy shared by every module in the package.
 
-Each failure class maps onto one process exit code (see cli.py), so the
-split between configuration, input and integrity problems is part of the
-public contract and not just cosmetics.
+The CLI (see cli.py) exits 2 for a ConfigurationError, 3 for an InputError
+and 4 for an IntegrityError, so the split between configuration, input and
+integrity problems is part of the public contract and not just cosmetics.
+DimensionError, DomainError, ContractError and MetricError share exit 1,
+the code of any other AiftError.
 """
 
 

@@ -96,12 +96,6 @@ def _tables(preds, gts, tolerance: float) -> np.ndarray:
                      for pred, gt in zip(preds, gts)])
 
 
-def _binary_row(pred_bin: np.ndarray, gt: np.ndarray, tolerance: float) -> np.ndarray:
-    """The count row of a boolean map, whose positives are its values >= 1."""
-    pred = _as_pred(np.asarray(pred_bin, dtype=bool))
-    return _count_table(pred, _as_gt(gt, pred.shape), tolerance, thresholds=1.0)
-
-
 def _iou(table: np.ndarray) -> np.ndarray:
     """IoU of each count row; an empty union gives 1."""
     n_pred, n_gt, inter = table[..., 0], table[..., 1], table[..., 2]
@@ -134,21 +128,6 @@ def _mean(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=0)[-1] / values.shape[0]
 
 
-def _ods(f: np.ndarray) -> tuple[float, float]:
-    means = _mean(f)
-    j = int(np.argmax(means))
-    return float(THRESHOLDS[j]), float(means[j])
-
-
-def _ois(f: np.ndarray) -> float:
-    return float(_mean(f.max(axis=1)))
-
-
-def iou(pred_bin: np.ndarray, gt: np.ndarray) -> float:
-    """Intersection over union of two boolean masks; two empty masks give 1."""
-    return float(_iou(_binary_row(pred_bin, gt, 0.0)))
-
-
 def aiu(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean IoU over the fixed threshold grid for one image."""
     pred = _as_pred(pred)
@@ -156,22 +135,12 @@ def aiu(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def f_measure(pred_bin: np.ndarray, gt: np.ndarray, tolerance: float = 0.0) -> float:
-    """F-measure of one binarized map against ground truth."""
-    return float(_prf(_binary_row(pred_bin, gt, tolerance))[2])
+    """F-measure of one binarized map against ground truth.
 
-
-def ods(preds, gts, tolerance: float = 0.0) -> tuple[float, float]:
-    """Best dataset-level F at one shared threshold: (threshold, F).
-
-    The dataset score at a threshold is the mean of per-image F-measures;
-    ties resolve to the lowest threshold.
+    The map's positives are its values >= 1, so its count table has one row.
     """
-    return _ods(_prf(_tables(preds, gts, tolerance))[2])
-
-
-def ois(preds, gts, tolerance: float = 0.0) -> float:
-    """Mean over images of each image's best F-measure on the grid."""
-    return _ois(_prf(_tables(preds, gts, tolerance))[2])
+    pred = _as_pred(np.asarray(pred_bin, dtype=bool))
+    return float(_prf(_count_table(pred, _as_gt(gt, pred.shape), tolerance, thresholds=1.0))[2])
 
 
 def auroc(scores, labels) -> float:
@@ -241,7 +210,9 @@ def evaluate(preds=None, gts=None, scores=None, labels=None,
 
     Segmentation metrics (AIU, ODS, OIS and the aggregate PR curve) come
     from ``preds``/``gts``; AUROC from ``scores``/``labels``.  Either side
-    may be omitted, but not both.
+    may be omitted, but not both.  ODS is the best mean per-image F at one
+    shared threshold, ties resolving to the lowest; OIS is the mean of each
+    image's best F on the grid.
     """
     if preds is None and scores is None:
         raise MetricError("evaluate needs prediction maps, per-image scores, or both")
@@ -255,8 +226,10 @@ def evaluate(preds=None, gts=None, scores=None, labels=None,
         tables = _tables(preds, gts, tolerance)
         f = _prf(tables)[2]
         aiu_value = float(_mean(_aiu(tables)))
-        ods_t, ods_f = _ods(f)
-        ois_value = _ois(f)
+        means = _mean(f)
+        j = int(np.argmax(means))
+        ods_t, ods_f = float(THRESHOLDS[j]), float(means[j])
+        ois_value = float(_mean(f.max(axis=1)))
         n_images = tables.shape[0]
         points = np.stack([THRESHOLDS, *_prf(tables.sum(axis=0))], axis=1)
         curve = [PRPoint(*point) for point in points.tolist()]

@@ -8,11 +8,13 @@ Standard update with bias correction:
 
 A missing gradient counts as an exact zero: the moment estimates decay, and
 a nonzero m_t still moves the parameter.  With lr = 0 its bits do not change.
+
+An ``Adam`` holds its hyper-parameters ``lr``, ``beta1`` and ``beta2``, the
+step counter ``t`` and the moment estimates ``m`` and ``v``, one array per
+parameter in the order of ``params``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,18 +22,6 @@ from .autodiff import Tensor
 from .errors import ConfigurationError
 
 EPS = 1e-8  # keeps the step finite where v_t is zero
-
-
-@dataclass
-class AdamState:
-    """Moment estimates and step counter for one parameter group."""
-
-    lr: float
-    beta1: float
-    beta2: float
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
 
 class Adam:
@@ -47,26 +37,23 @@ class Adam:
         for name, beta in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 <= beta < 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {beta}")
-        self.state = AdamState(
-            lr=lr, beta1=beta1, beta2=beta2,
-            m=[np.zeros_like(p.data) for p in self.params],
-            v=[np.zeros_like(p.data) for p in self.params],
-        )
+        self.lr, self.beta1, self.beta2, self.t = lr, beta1, beta2, 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        s = self.state
-        s.step += 1
-        c1 = 1.0 - s.beta1 ** s.step
-        c2 = 1.0 - s.beta2 ** s.step
-        for p, m, v in zip(self.params, s.m, s.v):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= s.beta1
-            m += (1.0 - s.beta1) * g
-            v *= s.beta2
-            v += (1.0 - s.beta2) * (g * g)
-            update = s.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
             p.data = p.data - update

@@ -26,13 +26,12 @@ from aift import (
     dense,
     detect,
     dft2,
+    evaluate,
     init_params,
     jeffrey_divergence,
     load_checkpoint,
     load_image,
     normalize_patch,
-    ods,
-    ois,
     recon_loss,
     save_checkpoint,
     spectrum_image,
@@ -235,8 +234,9 @@ class TestCriterion5:
                 preds = [np.round(rng.uniform(0, 1, (8, 8)), 2) for _ in range(3)]
                 gts = [rng.uniform(0, 1, (8, 8)) < 0.3 for _ in range(3)]
                 assert aiu(preds[0], gts[0]) == aiu_brute(preds[0], gts[0])
-                assert ods(preds, gts) == ods_brute(preds, gts)
-                assert ois(preds, gts) == ois_brute(preds, gts)
+                r = evaluate(preds, gts)
+                assert (r.ods_threshold, r.ods) == ods_brute(preds, gts)
+                assert r.ois == ois_brute(preds, gts)
 
             rng = np.random.default_rng(42)
             gt = rng.uniform(0, 1, (8, 8)) < 0.4
@@ -246,7 +246,8 @@ class TestCriterion5:
                 rng = np.random.default_rng(1000 + seed)
                 preds = [np.round(rng.uniform(0, 1, (8, 8)), 2) for _ in range(4)]
                 gts = [rng.uniform(0, 1, (8, 8)) < 0.3 for _ in range(4)]
-                assert ois(preds, gts) >= ods(preds, gts)[1]
+                r = evaluate(preds, gts)
+                assert r.ois >= r.ods
 
             half = np.zeros((8, 8), dtype=bool)
             half[:4] = True

@@ -493,6 +493,19 @@ class TestTrain:
         line = run_module(tmp_path, 3, "train", "--data", data, "--out", tmp_path / "out")
         assert line.startswith(f"aift: input error: cannot read {data / 'manifest.csv'}")
 
+    @pytest.mark.parametrize("size, split, code, kind, words", [
+        (20, "train", 2, "configuration error", "cannot infer a patch size from a 20x20 image"),
+        (16, "test", 3, "input error", "has no training entries"),
+    ], ids=["patch-size-not-inferable", "no-training-entries"])
+    def test_unusable_training_split(self, size, split, code, kind, words, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_pgm(data / "a.pgm", np.zeros((size, size)))
+        DatasetManifest(data, [ManifestEntry("a.pgm", "", "normal", split)]).save()
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(data), "--out", str(out)])
+        assert_failed_without_output(rc, code, kind, capsys, out, words)
+
     def test_bad_patch_size_is_config_error(self, corpus, tmp_path):
         rc = main(["train", "--data", str(corpus), "--patch-size", "20",
                    "--out", str(tmp_path / "out")])
@@ -816,6 +829,35 @@ class TestEval:
         rc = main(["eval", "--maps", str(maps), "--gt", str(gt), "--out", str(out)])
         assert_failed_without_output(rc, 3, "input error", capsys, out, "malformed score map")
 
+    @pytest.mark.parametrize("text", ["0.0,0.5\n0.5\n", "0.0,0.5\nhigh,1.0\n"],
+                             ids=["ragged", "non-numeric"])
+    def test_unparsable_score_map_is_input_error(self, text, tmp_path, capsys):
+        maps, gt = tmp_path / "maps", tmp_path / "gt"
+        maps.mkdir()
+        gt.mkdir()
+        (maps / "m.csv").write_text(text)
+        write_pgm(gt / "m.pgm", np.zeros((2, 2)))
+        out = tmp_path / "run"
+        rc = main(["eval", "--maps", str(maps), "--gt", str(gt), "--out", str(out)])
+        assert_failed_without_output(rc, 3, "input error", capsys, out,
+                                     f"malformed score map {maps / 'm.csv'}")
+
+    @pytest.mark.parametrize("argv, words", [
+        (["--scores", "nothing.csv"], ["scores file", "not found"]),
+        (["--maps", "nothing", "--gt", "gt"], ["maps directory", "not found"]),
+        (["--maps", "maps", "--gt", "nothing"], ["ground-truth directory", "not found"]),
+        (["--maps", "empty", "--gt", "gt"], ["no score-map CSVs under"]),
+    ], ids=["scores-file", "maps-dir", "gt-dir", "no-map-csvs"])
+    def test_missing_inputs_are_input_errors(self, argv, words, tmp_path, capsys):
+        for name in ("maps", "gt", "empty"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "maps" / "m.csv").write_text("0.0,0.5\n0.5,1.0\n")
+        write_pgm(tmp_path / "gt" / "m.pgm", np.zeros((2, 2)))
+        out = tmp_path / "run"
+        rc = main(["eval", *(a if a.startswith("--") else str(tmp_path / a) for a in argv),
+                   "--out", str(out)])
+        assert_failed_without_output(rc, 3, "input error", capsys, out, *words)
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "two"])
     def test_bad_tolerance_is_config_error(self, tolerance, detect_run, corpus,
                                            tmp_path, capsys):
@@ -855,8 +897,11 @@ class TestEval:
         ("patch.pgm,,0.9\n", ["label", "patch.pgm,,0.9"]),  # as detect --image writes it
         ("a,defect,nan\nb,normal,0.1\n", ["non-finite score", "a,defect,nan"]),
         ("a,defect,0.9\nb,normal,-inf\n", ["non-finite score", "b,normal,-inf"]),
+        ("a,defect\nb,normal,0.1\n", ["malformed row", "'a,defect'"]),
+        ("a,defect,high\nb,normal,0.1\n", ["non-numeric score", "a,defect,high"]),
+        ("", ["no score rows"]),
     ], ids=["unknown-label", "no-defect", "no-normal", "empty-label", "nan-score",
-            "inf-score"])
+            "inf-score", "two-fields", "non-numeric-score", "no-rows"])
     def test_scores_labels_are_checked(self, rows, words, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("path,label,image_score\n" + rows)
@@ -899,6 +944,14 @@ class TestAblation:
         rc = main(["ablation", "--data", str(corpus), "--seeds", "0,x",
                    "--out", str(tmp_path / "run")])
         assert rc == 2
+
+    @pytest.mark.parametrize("seeds", ["-1", ",", "0,-2"],
+                             ids=["negative", "empty", "one-negative"])
+    def test_seed_list_needs_non_negative_seeds(self, seeds, corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["ablation", "--data", str(corpus), f"--seeds={seeds}", "--out", str(out)])
+        assert_failed_without_output(rc, 2, "configuration error", capsys, out,
+                                     "--seeds must list non-negative integers")
 
     def test_bad_mode_list(self, corpus, tmp_path):
         rc = main(["ablation", "--data", str(corpus), "--seeds", "0",

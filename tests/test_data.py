@@ -19,7 +19,7 @@ from aift.data import (
     synth_corpus,
     write_pgm,
 )
-from aift.errors import ConfigurationError, InputError
+from aift.errors import ConfigurationError, DomainError, InputError
 
 
 class TestPgmIo:
@@ -134,6 +134,18 @@ class TestPgmIo:
         with pytest.raises(InputError):
             read_pgm(tmp_path / "nope.pgm")
 
+    @pytest.mark.parametrize("header, raster", [
+        (b"P5\n0 1\n255\n", b""),
+        (b"P5\n1 0\n255\n", b""),
+        (b"P5\n1 1\n0\n", bytes(1)),
+        (b"P5\n1 1\n65536\n", bytes(2)),
+    ], ids=["width-0", "height-0", "maxval-0", "maxval-65536"])
+    def test_invalid_dimensions_rejected(self, header, raster, tmp_path):
+        path = tmp_path / "dims.pgm"
+        path.write_bytes(header + raster)
+        with pytest.raises(InputError, match="invalid PGM dimensions"):
+            read_pgm(path)
+
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(InputError):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
@@ -209,6 +221,20 @@ class TestLoadImage:
         assert out.dtype == np.float64
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("error", [OSError("image file is truncated"),
+                                       FileNotFoundError(2, "No such file or directory")],
+                             ids=["unreadable", "missing"])
+    def test_png_open_error_is_input_error(self, error, tmp_path, monkeypatch):
+        def open_png(path):
+            raise error
+
+        pil = types.ModuleType("PIL")
+        pil.Image = types.SimpleNamespace(open=open_png)
+        monkeypatch.setitem(sys.modules, "PIL", pil)
+        path = tmp_path / "s.png"
+        with pytest.raises(InputError, match=f"cannot read {path}"):
+            load_image(path)
+
     def test_png_without_pillow_names_the_extra(self, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "PIL", None)  # makes the import fail
         with pytest.raises(InputError, match=r"aift\[png\]"):
@@ -236,6 +262,13 @@ class TestNormalizePatch:
     def test_already_normalized_is_unchanged(self):
         patch = np.array([[0.0, 0.5], [0.25, 1.0]])
         np.testing.assert_array_equal(normalize_patch(patch), patch)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        patch = np.zeros((4, 4))
+        patch[1, 2] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            normalize_patch(patch)
 
 
 class TestExtractPatches:

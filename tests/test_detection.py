@@ -135,6 +135,11 @@ class TestDetectFullImage:
         with pytest.raises(DomainError, match=r"detect_full_image: image values must lie"):
             detect_full_image(params16, img)
 
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (16,)], ids=["3-d", "1-d"])
+    def test_non_2d_image_rejected(self, params16, shape):
+        with pytest.raises(DimensionError, match="expects a 2-D image"):
+            detect_full_image(params16, np.zeros(shape))
+
     def test_too_small_image_rejected(self, params16):
         with pytest.raises(DimensionError):
             detect_full_image(params16, np.zeros((8, 8)))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import aift
-from aift import THRESHOLDS, aiu, auroc, evaluate, f_measure, iou, ods, ois
+from aift import THRESHOLDS, aiu, auroc, evaluate, f_measure
 from aift.errors import DimensionError, MetricError
 
 from oracles import (aiu_brute, auroc_pairs, curve_tolerance_brute, f_brute,
@@ -26,31 +26,31 @@ def random_case(rng, shape=(8, 8), p_gt=0.3):
     return pred, gt
 
 
-class TestIou:
-    def test_matches_brute_force(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            a = rng.uniform(0, 1, (8, 8)) > 0.5
-            b = rng.uniform(0, 1, (8, 8)) > 0.5
-            assert iou(a, b) == iou_brute(a, b)
-
-    def test_empty_union_is_one(self):
-        z = np.zeros((4, 4), dtype=bool)
-        assert iou(z, z) == 1.0
-
-    def test_disjoint_is_zero(self):
-        a = np.zeros((2, 2), dtype=bool)
-        a[0, 0] = True
-        b = np.zeros((2, 2), dtype=bool)
-        b[1, 1] = True
-        assert iou(a, b) == 0.0
-
-
 class TestAiu:
     def test_matches_brute_force_on_toys(self):
         for seed in range(10):
             pred, gt = random_case(np.random.default_rng(seed))
             assert aiu(pred, gt) == aiu_brute(pred, gt)
+
+    def test_binary_map_matches_brute_force(self):
+        # every threshold of a boolean map sees the same mask, so AIU is its IoU
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = rng.uniform(0, 1, (8, 8)) > 0.5
+            b = rng.uniform(0, 1, (8, 8)) > 0.5
+            assert aiu(a, b) == aiu_brute(a, b)
+            assert aiu(a, b) == pytest.approx(iou_brute(a, b), abs=1e-15)
+
+    def test_binary_empty_union_is_one(self):
+        z = np.zeros((4, 4), dtype=bool)
+        assert aiu(z, z) == aiu_brute(z, z) == 1.0
+
+    def test_binary_disjoint_is_zero(self):
+        a = np.zeros((2, 2), dtype=bool)
+        a[0, 0] = True
+        b = np.zeros((2, 2), dtype=bool)
+        b[1, 1] = True
+        assert aiu(a, b) == aiu_brute(a, b) == 0.0
 
     def test_perfect_binary_prediction_is_one(self):
         gt = np.random.default_rng(1).uniform(0, 1, (8, 8)) < 0.4
@@ -101,15 +101,15 @@ class TestFMeasures:
         rng = np.random.default_rng(7)
         preds = [np.round(rng.uniform(0, 1, (8, 8)), 2) for _ in range(4)]
         gts = [rng.uniform(0, 1, (8, 8)) < 0.3 for _ in range(4)]
-        t_fast, f_fast = ods(preds, gts)
+        r = evaluate(preds, gts)
         t_slow, f_slow = ods_brute(preds, gts)
-        assert (t_fast, f_fast) == (pytest.approx(t_slow), pytest.approx(f_slow, abs=1e-15))
+        assert (r.ods_threshold, r.ods) == (pytest.approx(t_slow), pytest.approx(f_slow, abs=1e-15))
 
     def test_ois_matches_brute_force(self):
         rng = np.random.default_rng(8)
         preds = [np.round(rng.uniform(0, 1, (8, 8)), 2) for _ in range(4)]
         gts = [rng.uniform(0, 1, (8, 8)) < 0.3 for _ in range(4)]
-        assert ois(preds, gts) == pytest.approx(ois_brute(preds, gts), abs=1e-15)
+        assert evaluate(preds, gts).ois == pytest.approx(ois_brute(preds, gts), abs=1e-15)
 
     def test_ois_never_below_ods(self):
         # max-then-mean dominates mean-then-max; checked on 100 random sets
@@ -118,16 +118,16 @@ class TestFMeasures:
             n = int(rng.integers(2, 5))
             preds = [rng.uniform(0, 1, (6, 6)) for _ in range(n)]
             gts = [rng.uniform(0, 1, (6, 6)) < 0.35 for _ in range(n)]
-            _, f_ods = ods(preds, gts)
-            assert ois(preds, gts) >= f_ods - 1e-12
+            r = evaluate(preds, gts)
+            assert r.ois >= r.ods - 1e-12
 
     def test_perfect_maps_score_one_everywhere(self):
         gts = [np.random.default_rng(s).uniform(0, 1, (8, 8)) < 0.4 for s in range(3)]
         preds = [g.astype(float) for g in gts]
         assert aiu(preds[0], gts[0]) == 1.0
-        _, f_ods = ods(preds, gts)
-        assert f_ods == 1.0
-        assert ois(preds, gts) == 1.0
+        r = evaluate(preds, gts)
+        assert r.ods == 1.0
+        assert r.ois == 1.0
 
     def test_tolerance_forgives_small_offsets(self):
         gt = np.zeros((9, 9), dtype=bool)
@@ -140,7 +140,7 @@ class TestFMeasures:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimensionError):
-            ods([np.zeros((4, 4))], [])
+            evaluate([np.zeros((4, 4))], [])
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-9, math.nan, math.inf, -math.inf])
     def test_bad_tolerance_rejected(self, tol):
@@ -148,8 +148,6 @@ class TestFMeasures:
         gt[1, 1] = True
         with pytest.raises(MetricError):
             f_measure(gt, gt, tolerance=tol)
-        with pytest.raises(MetricError):
-            ods([gt.astype(float)], [gt], tolerance=tol)
         with pytest.raises(MetricError):
             evaluate([gt.astype(float)], [gt], tolerance=tol)
 
@@ -174,10 +172,10 @@ class TestToleranceMatching:
         preds = [np.round(rng.uniform(0, 1, (6, 7)), 1) for _ in range(3)]
         gts = [rng.uniform(0, 1, (6, 7)) < 0.2 for _ in range(2)]
         gts.append(np.zeros((6, 7), dtype=bool))  # one map without GT
-        assert ods(preds, gts, tolerance=tol) == ods_tolerance_brute(preds, gts, tol)
-        assert ois(preds, gts, tolerance=tol) == ois_tolerance_brute(preds, gts, tol)
-        curve = [(p.threshold, p.precision, p.recall, p.f)
-                 for p in evaluate(preds, gts, tolerance=tol).curve]
+        r = evaluate(preds, gts, tolerance=tol)
+        assert (r.ods_threshold, r.ods) == ods_tolerance_brute(preds, gts, tol)
+        assert r.ois == ois_tolerance_brute(preds, gts, tol)
+        curve = [(p.threshold, p.precision, p.recall, p.f) for p in r.curve]
         assert curve == curve_tolerance_brute(preds, gts, tol)
 
 
@@ -242,6 +240,11 @@ class TestEvaluate:
     def test_needs_some_input(self):
         with pytest.raises(MetricError):
             evaluate()
+
+    @pytest.mark.parametrize("preds, gts", [([], []), ((), ())], ids=["lists", "tuples"])
+    def test_rejects_an_empty_map_set(self, preds, gts):
+        with pytest.raises(MetricError, match="no prediction maps to evaluate"):
+            evaluate(preds, gts)
 
     @pytest.mark.parametrize("inputs, message", [
         ({"preds": [np.zeros((4, 4))]}, "prediction maps need matching ground-truth masks"),

@@ -341,7 +341,7 @@ class TestKernelLayout:
         moments = {}
         for group, opt in ((params.generator_tensors(), g_opt),
                            (params.discriminator_tensors(), d_opt)):
-            for name, m, v in zip(group, opt.state.m, opt.state.v):
+            for name, m, v in zip(group, opt.m, opt.v):
                 if name in kernels:
                     moments[name + ".m"], moments[name + ".v"] = m, v
         assert len(moments) == 32

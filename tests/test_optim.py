@@ -58,12 +58,12 @@ def test_zero_grad_decays_moments():
     opt = Adam([p], lr=0.1, beta1=0.5, beta2=0.5)
     p.grad = np.array([1.0])
     opt.step()
-    m_before = abs(opt.state.m[0][0])
+    m_before = abs(opt.m[0][0])
     assert p.data[0] == pytest.approx(1.9)
     opt.zero_grad()
     opt.step()
-    assert abs(opt.state.m[0][0]) == pytest.approx(0.5 * m_before)
-    assert opt.state.step == 2
+    assert abs(opt.m[0][0]) == pytest.approx(0.5 * m_before)
+    assert opt.t == 2
     # the decayed first moment still moves the parameter: by lr * (1/3) / sqrt(1/3)
     assert p.data[0] == pytest.approx(1.9 - 0.1 / math.sqrt(3.0))
 
@@ -98,7 +98,7 @@ def test_shared_step_counter_across_params():
     a.grad = np.array([1.0])
     b.grad = np.array([1.0])
     opt.step()
-    assert opt.state.step == 1
+    assert opt.t == 1
     assert a.data[0] == pytest.approx(b.data[0])
 
 

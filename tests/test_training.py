@@ -96,10 +96,14 @@ class TestReconLoss:
         big = [Tensor(np.tile(t.data, (1, 1, 2, 2))) for t in small]
         assert recon_loss(*small).item() == pytest.approx(recon_loss(*big).item())
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            recon_loss(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 2))),
-                       Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 2, 2))))
+    @pytest.mark.parametrize("odd, domain", [(0, "frequency"), (1, "image")],
+                             ids=["frequency", "image"])
+    def test_shape_mismatch_names_the_domain(self, odd, domain):
+        # arguments: x_image, x_freq, gen_freq, gen_image; one generated map is misshaped
+        args = [Tensor(np.zeros((1, 1, 2, 2))) for _ in range(4)]
+        args[2 + odd] = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(DimensionError, match=f"{domain} shapes differ"):
+            recon_loss(*args)
 
 
 class TestTotalLoss:
@@ -134,7 +138,7 @@ class TestTrainConfig:
                                     dict(critic_iters=0), dict(loss_mode="wgan"),
                                     dict(seed=-1), dict(lr=0.0), dict(lr=float("nan")),
                                     dict(lr=float("inf")), dict(lam=float("nan")),
-                                    dict(lam=float("inf"))])
+                                    dict(lam=float("inf")), dict(base_channels=0)])
     def test_rejects_invalid(self, kw):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kw).validate()
@@ -296,6 +300,15 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             train((np.zeros((0, 1, 16, 16)), np.zeros((0, 1, 16, 16))), _fresh())
 
+    @pytest.mark.parametrize("image_shape, freq_shape", [
+        ((6, 1, 16, 16), (5, 1, 16, 16)),
+        ((6, 1, 16, 16), (6, 1, 8, 8)),
+        ((6, 16, 16), (6, 16, 16)),
+    ], ids=["count", "patch", "rank"])
+    def test_unequal_stacks_rejected(self, image_shape, freq_shape):
+        with pytest.raises(DimensionError, match=r"two equal \[M, 1, P, P\] stacks"):
+            train((np.zeros(image_shape), np.zeros(freq_shape)), _fresh(epochs=1))
+
     def test_epochs_zero_rejected(self):
         images, freqs = toy_batch()
         with pytest.raises(ConfigurationError):
@@ -344,7 +357,7 @@ class TestModelDtype:
             assert t.data.dtype == np.float32, name
             assert t.grad is not None and t.grad.dtype == np.float32, name
         for opt in (g_opt, d_opt):
-            assert all(m.dtype == np.float32 for m in opt.state.m + opt.state.v)
+            assert all(m.dtype == np.float32 for m in opt.m + opt.v)
 
     def test_trained_model_scores_as_its_checkpoint(self, tmp_path):
         # what is trained is what is saved: detect on the in-memory model and
