@@ -23,6 +23,13 @@ without a transposing copy.  Every kernel [A, B, kh, kw] is read tap-major,
 without a copy when it is laid out (A, kh, kw, B) in memory, as the model
 stores all of its kernels, and its gradient comes out in that layout.
 
+The BLAS may sum a product with more rows in another order, so one GEMM
+over a batch need not give each sample the bits it gets alone.  Under
+``per_sample()`` the correlation and its adjoint, the products of both
+forward passes and both input gradients, run one GEMM per sample, so a
+batch of patches is scored to the bits of per-patch calls.  Training does
+not use it: one GEMM over the batch is faster.
+
 A conv op adds its layer's bias and applies its LeakyReLU, where(y > 0, y,
 slope * y) of the pre-activation y, itself, so a layer keeps one output map,
 not a pre-bias or pre-activation copy too: for a slope in (0, 1] the output
@@ -50,6 +57,7 @@ from .errors import ContractError, DimensionError, DomainError
 
 _tape_counter = itertools.count()
 _grad_enabled = True
+_per_sample = False
 
 
 @contextmanager
@@ -67,6 +75,25 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def per_sample():
+    """Context manager under which the conv products run one GEMM per sample.
+
+    Inside, ``_correlate`` and ``_correlate_adjoint`` take their products as
+    stacked matmuls, one [rows per sample, D] matrix per sample, which numpy
+    hands to the BLAS one sample at a time, so each sample of a batch gets
+    the bits it gets alone (see the module docstring).  Batched scoring runs
+    under it; training does not.
+    """
+    global _per_sample
+    prev = _per_sample
+    _per_sample = True
+    try:
+        yield
+    finally:
+        _per_sample = prev
 
 
 class Tensor:
@@ -390,9 +417,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     sn, sh, sw, sc = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (n, ho, wo, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False)
+    # the ndarray constructor builds the view several times faster than as_strided
+    win = np.ndarray((n, ho, wo, kh, kw, c), xp.dtype, xp, 0,
+                     (sn, sh * stride, sw * stride, sh, sw, sc))
+    win.flags.writeable = False
+    return win
 
 
 def _pixel_rows(x: np.ndarray) -> np.ndarray:
@@ -400,6 +429,15 @@ def _pixel_rows(x: np.ndarray) -> np.ndarray:
     is stored channel-last."""
     n, c, h, w = x.shape
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
+
+
+def _matmul(rows: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """rows [n * r, D] @ m [D, M] as one GEMM, or under ``per_sample`` as
+    n GEMMs of r rows each (for n = 1 the same GEMM); an [n * r, M] product
+    either way."""
+    if _per_sample and n > 1:
+        return (rows.reshape(n, -1, rows.shape[1]) @ m).reshape(-1, m.shape[1])
+    return rows @ m
 
 
 def _correlate(win: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -413,7 +451,7 @@ def _correlate(win: np.ndarray, k: np.ndarray) -> np.ndarray:
     n, ho, wo, kh, kw, c = win.shape
     cols = win.reshape(n * ho * wo, kh * kw * c)
     kmat = k.transpose(0, 2, 3, 1).reshape(k.shape[0], -1)
-    return (cols @ kmat.T).reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
+    return _matmul(cols, kmat.T, n).reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
 
 
 def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
@@ -434,6 +472,8 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
     strided views of the product; it is taken when there are fewer rows than
     kernels, as at batch 1 on the deepest layers, where it is the faster
     route.  The routes differ only in column order, so in no output bit.
+    Under ``per_sample`` the route is picked by the rows of one sample, as a
+    batch-1 call picks it.
     """
     n, _, h, w = y.shape
     s = stride
@@ -442,10 +482,10 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
     th, tw = -(-kh // s), -(-kw // s)
     if (th * s, tw * s) != (kh, kw):
         k = np.pad(k, ((0, 0), (0, 0), (0, th * s - kh), (0, tw * s - kw)))
-    if rows.shape[0] < kk:
+    if (h * w if _per_sample else rows.shape[0]) < kk:
         # [N, H, W, di, dj, a, b, C]
-        taps = (rows @ k.transpose(0, 2, 3, 1).reshape(kk, -1)).reshape(n, h, w, th, s, tw, s, c)
-        taps = taps.transpose(0, 1, 2, 3, 5, 4, 6, 7)
+        taps = _matmul(rows, k.transpose(0, 2, 3, 1).reshape(kk, -1), n)
+        taps = taps.reshape(n, h, w, th, s, tw, s, c).transpose(0, 1, 2, 3, 5, 4, 6, 7)
 
         def block(di, dj):
             return taps[:, :, :, di, dj]
@@ -454,7 +494,7 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
         kt = np.ascontiguousarray(k.reshape(kk, c, th, s, tw, s).transpose(2, 4, 0, 3, 5, 1))
 
         def block(di, dj):
-            return (rows @ kt[di, dj].reshape(kk, -1)).reshape(n, h, w, s, s, c)
+            return _matmul(rows, kt[di, dj].reshape(kk, -1), n).reshape(n, h, w, s, s, c)
     # at least full_h x full_w: conv2d's input can end in rows no window reads
     hh = max(h + th - 1, -(-full_h // s))
     ww = max(w + tw - 1, -(-full_w // s))

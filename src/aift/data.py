@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InputError
+from .errors import ConfigurationError, DimensionError, DomainError, InputError
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -118,6 +118,8 @@ def load_image(path) -> np.ndarray:
 def normalize_patch(patch: np.ndarray) -> np.ndarray:
     """Min-max rescale a patch to [0, 1]; a constant patch maps to zeros."""
     patch = np.asarray(patch, dtype=np.float64)
+    if patch.size == 0:
+        raise DimensionError(f"normalize_patch: patch of shape {patch.shape} has no pixels")
     lo = patch.min()
     hi = patch.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):

@@ -7,6 +7,11 @@ during training) disagree with the input.  The disagreement is measured
 per pixel with the symmetric Jeffrey divergence, giving a score map whose
 sum is the patch-level anomaly score.
 
+Every patch is scored through one private core that takes a stack of
+patches: ``detect`` scores a stack of one, and ``detect_full_image`` scores
+its tiles in chunks of ``_CHUNK``.  The core runs the generator under
+``autodiff.per_sample``, so each patch gets the bits it gets alone.
+
 Score maps are not rescaled.  Both inputs are clamped to [JEFFREY_EPS, 1],
 so every per-pixel value lies in [0, ln 2] ~ [0, 0.693], and averaging
 overlapping patches keeps full-image maps in that range too.  The metric
@@ -20,13 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, no_grad, per_sample
 from .data import extract_patches, normalize_patch
 from .errors import ConfigurationError, DimensionError, DomainError
 from .model import AiftParams, F2I, generate
 from .spectral import spectrum_image
 
 JEFFREY_EPS = 1e-7
+# tiles per generator pass in detect_full_image: larger chunks run faster
+# but hold more activations at once
+_CHUNK = 8
 
 
 def jeffrey_divergence(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -34,14 +42,15 @@ def jeffrey_divergence(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 
     Both inputs are clamped to [JEFFREY_EPS, 1]; with m the elementwise midpoint the
     per-element value is x*log(x/m) + y*log(y/m).  Returns the summed total
-    and the per-element map.  The value is non-negative, exactly symmetric
+    and the per-element map, which for a stack of patches holds each
+    patch's own map.  The value is non-negative, exactly symmetric
     in its arguments, and zero iff the clamped inputs are equal.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise DimensionError(f"jeffrey_divergence: shape mismatch {x.shape} vs {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("jeffrey_divergence: non-finite input")
     xc = np.clip(x, JEFFREY_EPS, 1.0)
     yc = np.clip(y, JEFFREY_EPS, 1.0)
@@ -56,6 +65,16 @@ class DetectionResult:
     image_score: float
 
 
+def _score(params: AiftParams, patches: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Score maps [B, P, P] and image scores of a stack of B normalized
+    patches; a patch's score is the sum of its own map."""
+    with no_grad(), per_sample():
+        freq = Tensor(spectrum_image(patches)[:, None])
+        regenerated = generate(params, freq, F2I).data[:, 0]
+    _, maps = jeffrey_divergence(patches, regenerated)
+    return maps, [float(m.sum()) for m in maps]
+
+
 def detect(params: AiftParams, image: np.ndarray) -> DetectionResult:
     """Score one normalized patch against a trained model.
 
@@ -67,13 +86,10 @@ def detect(params: AiftParams, image: np.ndarray) -> DetectionResult:
     p = params.patch_size
     if image.shape != (p, p):
         raise DimensionError(f"detect expects a ({p}, {p}) patch, got {image.shape}")
-    if not (np.min(image) >= 0.0 and np.max(image) <= 1.0):  # also true for NaN
+    if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
         raise DomainError("detect: image values must lie in [0, 1]; normalize first")
-    with no_grad():
-        freq = Tensor(spectrum_image(image)[None, None, :, :])
-        regenerated = generate(params, freq, F2I).data[0, 0]
-    total, score_map = jeffrey_divergence(image, regenerated)
-    return DetectionResult(score_map=score_map, image_score=total)
+    maps, scores = _score(params, image[None])
+    return DetectionResult(score_map=maps[0], image_score=scores[0])
 
 
 def detect_full_image(params: AiftParams, image: np.ndarray,
@@ -82,8 +98,10 @@ def detect_full_image(params: AiftParams, image: np.ndarray,
 
     The image is covered by an edge-aligned patch grid; each patch is
     min-max normalized (matching the training-time contract) before scoring
-    and per-pixel scores are averaged where patches overlap.  The stitched
-    map has the input's shape.
+    and per-pixel scores are averaged where patches overlap.  The tiles are
+    scored in batches and added in grid order, so the stitched map, which
+    has the input's shape, is the mean of the per-tile ``detect`` maps bit
+    for bit.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -96,14 +114,17 @@ def detect_full_image(params: AiftParams, image: np.ndarray,
         stride = p
     if not 1 <= stride <= p:
         raise ConfigurationError(f"stride must lie in [1, {p}], got {stride}")
-    if not (np.min(image) >= 0.0 and np.max(image) <= 1.0):  # also true for NaN
+    if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
         raise DomainError("detect_full_image: image values must lie in [0, 1]; normalize first")
 
     acc = np.zeros(image.shape)
     cover = np.zeros(image.shape)
-    for y, x, patch in extract_patches(image, p, stride):
-        result = detect(params, normalize_patch(patch))
-        acc[y:y + p, x:x + p] += result.score_map
-        cover[y:y + p, x:x + p] += 1.0
+    tiles = extract_patches(image, p, stride)
+    for start in range(0, len(tiles), _CHUNK):
+        chunk = tiles[start:start + _CHUNK]
+        maps, _ = _score(params, np.stack([normalize_patch(patch) for _, _, patch in chunk]))
+        for (y, x, _), score_map in zip(chunk, maps):
+            acc[y:y + p, x:x + p] += score_map
+            cover[y:y + p, x:x + p] += 1.0
     score_map = acc / cover
     return DetectionResult(score_map=score_map, image_score=float(score_map.sum()))

@@ -40,6 +40,8 @@ def _as_pred(pred: np.ndarray) -> np.ndarray:
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim != 2:
         raise DimensionError(f"prediction map must be 2-D, got shape {pred.shape}")
+    if pred.size == 0:
+        raise DimensionError(f"prediction map of shape {pred.shape} has no pixels")
     if not np.all(np.isfinite(pred)) or pred.min() < 0.0 or pred.max() > 1.0:
         raise MetricError("prediction map values must lie in [0, 1]")
     return pred

@@ -8,6 +8,11 @@ The FFT is a loop, not a recursion: one bit-reversal gather, then log2(n)
 in-place butterfly stages with twiddles cached per length.  It does the
 same floating-point operations in the same order as the textbook even/odd
 recursion, and the test suite pins it to that recursion bit for bit.
+
+Both ``dft2`` and ``spectrum_image`` take an [H, W] image or an
+[..., H, W] stack and work on the last two axes; every operation is
+elementwise or per image, so each image of a stack gets the bits it gets
+alone.
 """
 
 from __future__ import annotations
@@ -66,39 +71,43 @@ def _fft_pow2(x: np.ndarray) -> np.ndarray:
 
 
 def dft2(image: np.ndarray) -> np.ndarray:
-    """2-D DFT of a real or complex [H, W] array, returned as complex128.
+    """2-D DFT over the last two axes of a real or complex [..., H, W] array,
+    returned as complex128.
 
     Both extents must be powers of two.  The input is never modified.
     """
     image = np.asarray(image)
-    if image.ndim != 2:
-        raise DimensionError(f"dft2 expects a 2-D array, got shape {image.shape}")
-    if not (_is_pow2(image.shape[0]) and _is_pow2(image.shape[1])):
+    if image.ndim < 2:
+        raise DimensionError(f"dft2 expects an [..., H, W] array, got shape {image.shape}")
+    if not (_is_pow2(image.shape[-2]) and _is_pow2(image.shape[-1])):
         raise DimensionError(f"dft2 needs power-of-two extents, got shape {image.shape}")
-    if not np.all(np.isfinite(image)):
+    if not np.isfinite(image).all():
         raise DomainError("dft2: input contains non-finite values")
-    return _fft_pow2(_fft_pow2(image).T).T
+    return _fft_pow2(_fft_pow2(image).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def spectrum_image(image: np.ndarray) -> np.ndarray:
-    """Encode an [H, W] image in [0, 1] as a same-shaped frequency image.
+    """Encode an [H, W] image in [0, 1], or an [..., H, W] stack of them,
+    as same-shaped frequency images.
 
     Pipeline: magnitude of the 2-D DFT, log1p compression, zero-frequency
-    bin moved to the center, then min-max rescaling to [0, 1].  An all-zero
-    input has a flat spectrum; by convention it maps to zeros with a single
-    1.0 marking the (centered) zero-frequency bin.
+    bin moved to the center, then min-max rescaling of each image to
+    [0, 1].  An all-zero input has a flat spectrum; by convention it maps
+    to zeros with a single 1.0 marking the (centered) zero-frequency bin.
     """
     image = np.asarray(image)
     spectrum = dft2(image)  # checks the shape and finiteness of the input
-    if np.min(image) < 0.0 or np.max(image) > 1.0:
+    if image.min() < 0.0 or image.max() > 1.0:
         raise DomainError("spectrum_image expects values in [0, 1]; normalize first")
     mag = np.log1p(np.abs(spectrum))
-    h, w = mag.shape
-    shifted = np.roll(mag, (h // 2, w // 2), axis=(0, 1))
-    lo = shifted.min()
-    hi = shifted.max()
-    if hi > lo:
+    h, w = mag.shape[-2:]
+    shifted = np.roll(mag, (h // 2, w // 2), axis=(-2, -1))
+    lo = shifted.min(axis=(-2, -1), keepdims=True)
+    hi = shifted.max(axis=(-2, -1), keepdims=True)
+    flat = hi <= lo
+    if not flat.any():
         return (shifted - lo) / (hi - lo)
-    flat = np.zeros_like(shifted)
-    flat[h // 2, w // 2] = 1.0
-    return flat
+    # a flat image's values less its minimum are all +0.0
+    out = (shifted - lo) / np.where(flat, 1.0, hi - lo)
+    out[..., h // 2, w // 2][flat[..., 0, 0]] = 1.0
+    return out

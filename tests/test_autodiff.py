@@ -579,6 +579,38 @@ class TestConvolutionValues:
             op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), stride, padding)
 
 
+class TestPerSample:
+    """Under per_sample every sample of a batch gets the bytes it gets alone."""
+
+    # the base-16 layers enc2, enc3, dec0 and dec1 at 32 px, and dec0 at
+    # 16 px, where a sample has one pixel row and a product over a batch's
+    # rows gives other bits than a row alone; with the model's bias and leak
+    @pytest.mark.parametrize("batch", [1, 2, 8, 50])
+    @pytest.mark.parametrize("transpose,channels,size,kernels", [
+        (False, 32, 8, 64), (False, 64, 4, 128), (True, 128, 2, 64), (True, 64, 4, 32),
+        (True, 128, 1, 64)], ids=["enc2", "enc3", "dec0", "dec1", "dec0-16px"])
+    def test_each_sample_gets_its_own_bits(self, transpose, channels, size, kernels, batch):
+        rng = np.random.default_rng(3100 + channels + size + batch)
+        op = ad.conv_transpose2d if transpose else ad.conv2d
+        shape = (channels, kernels, 4, 4) if transpose else (kernels, channels, 4, 4)
+        k = Tensor(_channel_last(rng.uniform(-0.1, 0.1, shape).astype(np.float32)))
+        b = Tensor(rng.uniform(-0.1, 0.1, kernels).astype(np.float32))
+        x = rng.uniform(-1.0, 1.0, (batch, channels, size, size)).astype(np.float32)
+        with ad.per_sample():
+            out = op(Tensor(x), k, 2, 1, bias=b, leak=0.2).data
+        for i in range(batch):
+            alone = op(Tensor(x[i:i + 1]), k, 2, 1, bias=b, leak=0.2).data
+            assert out[i:i + 1].tobytes() == alone.tobytes()
+
+    def test_flag_is_restored_after_an_exception(self):
+        assert not ad._per_sample
+        with pytest.raises(RuntimeError):
+            with ad.per_sample():
+                assert ad._per_sample
+                raise RuntimeError("inside")
+        assert not ad._per_sample
+
+
 class TestGraphMemory:
     """A conv node keeps its input array and its kernel, which the graph
     holds anyway; it keeps no column matrix and no copy of its input, with

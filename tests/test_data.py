@@ -19,7 +19,7 @@ from aift.data import (
     synth_corpus,
     write_pgm,
 )
-from aift.errors import ConfigurationError, DomainError, InputError
+from aift.errors import ConfigurationError, DimensionError, DomainError, InputError
 
 
 class TestPgmIo:
@@ -269,6 +269,11 @@ class TestNormalizePatch:
         patch[1, 2] = value
         with pytest.raises(DomainError, match="non-finite"):
             normalize_patch(patch)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0,)], ids=["0x4", "4x0", "empty-1-d"])
+    def test_patch_without_pixels_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionError, match="has no pixels"):
+            normalize_patch(np.zeros(shape))
 
 
 class TestExtractPatches:

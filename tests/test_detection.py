@@ -1,11 +1,18 @@
 """Jeffrey divergence properties and the detection pipeline."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aift import detect, detect_full_image, init_params, jeffrey_divergence
+import aift
+from aift import (detect, detect_full_image, extract_patches, init_params, jeffrey_divergence,
+                  normalize_patch)
+from aift.detection import _CHUNK
 from aift.errors import ConfigurationError, DimensionError, DomainError
 
 from oracles import jeffrey_reference
@@ -117,7 +124,6 @@ class TestDetectFullImage:
 
     def test_single_patch_equals_detect(self, params16):
         img = RNG.uniform(0, 1, (16, 16))
-        from aift import normalize_patch
         whole = detect_full_image(params16, img)
         single = detect(params16, normalize_patch(img))
         np.testing.assert_array_equal(whole.score_map, single.score_map)
@@ -149,3 +155,51 @@ class TestDetectFullImage:
             detect_full_image(params16, np.zeros((16, 16)), stride=0)
         with pytest.raises(ConfigurationError):
             detect_full_image(params16, np.zeros((16, 16)), stride=17)
+
+
+def _road():
+    """80 x 96 px: at 16 px and stride 8, 99 tiles, more than one chunk and
+    a partial last chunk, with a constant tile at the top left."""
+    image = np.random.default_rng(7).uniform(0, 1, (80, 96))
+    image[:16, :16] = 0.3
+    return image
+
+
+def _tile_mean(params, image, stride):
+    """The mean of the per-tile ``detect`` maps, added in grid order."""
+    p = params.patch_size
+    acc = np.zeros(image.shape)
+    cover = np.zeros(image.shape)
+    for y, x, tile in extract_patches(image, p, stride):
+        acc[y:y + p, x:x + p] += detect(params, normalize_patch(tile)).score_map
+        cover[y:y + p, x:x + p] += 1.0
+    return acc / cover
+
+
+class TestBatchedTiles:
+    # base 16 at 16 px: the first decoder layer sees one pixel row per tile,
+    # where one GEMM over a batch's rows gives other bits than a row alone
+    @pytest.fixture(scope="class")
+    def params(self):
+        return init_params(16, 5, base_channels=16)
+
+    def test_full_image_is_the_per_tile_mean_bit_for_bit(self, params):
+        image = _road()
+        tiles = len(extract_patches(image, 16, 8))
+        assert tiles > _CHUNK and tiles % _CHUNK
+        result = detect_full_image(params, image, stride=8)
+        assert np.array_equal(result.score_map, _tile_mean(params, image, 8))
+        assert result.image_score == float(result.score_map.sum())
+
+    def test_two_blas_threads_keep_the_per_tile_bits(self, params):
+        # the thread count is read when numpy loads, so it needs a fresh process
+        code = ("import numpy as np, test_detection as t; "
+                "params = t.init_params(16, 5, base_channels=16); image = t._road(); "
+                "whole = t.detect_full_image(params, image, stride=8).score_map; "
+                "print(np.array_equal(whole, t._tile_mean(params, image, 8)))")
+        paths = [str(Path(aift.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=env)
+        assert proc.stdout.strip() == "True"

@@ -81,6 +81,17 @@ class TestAiu:
         with pytest.raises(DimensionError, match=message):
             aiu(np.full(pred_shape, 0.5), np.zeros(gt_shape, dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)], ids=["0x4", "4x0", "0x0"])
+    @pytest.mark.parametrize("call", [
+        lambda pred, gt: aiu(pred, gt),
+        lambda pred, gt: f_measure(pred, gt),
+        lambda pred, gt: f_measure(pred, gt, tolerance=2.0),
+        lambda pred, gt: evaluate([pred], [gt]),
+    ], ids=["aiu", "f_measure", "f_measure-tol2", "evaluate"])
+    def test_map_without_pixels_is_a_dimension_error(self, call, shape):
+        with pytest.raises(DimensionError, match="has no pixels"):
+            call(np.zeros(shape), np.zeros(shape, dtype=bool))
+
 
 class TestFMeasures:
     def test_f_matches_brute_force(self):

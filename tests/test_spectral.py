@@ -127,3 +127,51 @@ class TestSpectrumImage:
     def test_deterministic(self):
         img = RNG.uniform(0, 1, (16, 16))
         np.testing.assert_array_equal(spectrum_image(img), spectrum_image(img))
+
+
+class TestStacks:
+    """dft2 and spectrum_image on an [..., H, W] stack give each image the
+    bytes it gets alone."""
+
+    @staticmethod
+    def _stack(size):
+        stack = RNG.uniform(0, 1, (6, size, size))
+        stack[1] = 0.0  # flat spectrum
+        stack[3] = 0.0
+        stack[3, 2, 5] = 1.0  # an impulse: flat spectrum too
+        stack[4] = 0.4
+        return stack
+
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    def test_stack_equals_per_image_calls(self, size):
+        stack = self._stack(size)
+        spectra, transforms = spectrum_image(stack), dft2(stack)
+        for i, image in enumerate(stack):
+            assert spectra[i].tobytes() == spectrum_image(image).tobytes()
+            assert transforms[i].tobytes() == dft2(image).tobytes()
+        assert spectra[1, size // 2, size // 2] == 1.0 and np.count_nonzero(spectra[1]) == 1
+
+    def test_leading_axes_are_kept(self):
+        stack = self._stack(16)
+        nested = spectrum_image(stack.reshape(2, 3, 16, 16))
+        assert nested.shape == (2, 3, 16, 16)
+        assert nested.reshape(6, 16, 16).tobytes() == spectrum_image(stack).tobytes()
+
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_out_of_range_pixel_fails_on_a_stack(self, value):
+        stack = self._stack(8)
+        stack[5, 2, 3] = value
+        with pytest.raises(DomainError, match="expects values in"):
+            spectrum_image(stack)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pixel_fails_on_a_stack(self, value):
+        stack = self._stack(8)
+        stack[2, 7, 0] = value
+        for call in (dft2, spectrum_image):
+            with pytest.raises(DomainError, match="non-finite"):
+                call(stack)
+
+    def test_non_pow2_extents_fail_on_a_stack(self):
+        with pytest.raises(DimensionError, match="power-of-two"):
+            dft2(np.zeros((4, 8, 6)))
