@@ -391,9 +391,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data + b.data
 
     def backward(g):
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
 
     return _record(out, (x, w, b), backward)
 
@@ -572,7 +575,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
             # in this gradient's memory order, which numpy takes from g and
             # the output
             g = leak_grad(g)
-        if bias is not None:
+        if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if k.requires_grad:
             _accumulate(k, _window_grad(_im2col(xd, kh, kw, stride, padding), g))
@@ -612,7 +615,7 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
     def backward(g):
         if leak is not None:
             g = leak_grad(g)
-        if bias is not None:
+        if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         # g's windows line up with x's pixels
         win = _im2col(g, kh, kw, stride, padding)

@@ -8,6 +8,9 @@ Standard update with bias correction:
 
 A missing gradient counts as an exact zero: the moment estimates decay, and
 a nonzero m_t still moves the parameter.  With lr = 0 its bits do not change.
+``step`` releases each gradient once it has applied it (``.grad`` becomes
+``None``), so no gradient outlives its update, and a second ``step`` without
+a new backward pass applies an exact zero, as ``zero_grad(); step()`` does.
 
 An ``Adam`` holds its hyper-parameters ``lr``, ``beta1`` and ``beta2``, the
 step counter ``t`` and the moment estimates ``m`` and ``v``, one array per
@@ -57,3 +60,4 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             update = self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
             p.data = p.data - update
+            p.grad = None

@@ -12,17 +12,23 @@ frequency image) pairs:
 * generator phase: one descent step on the generator parameters.  Its
   adversarial part is the non-saturating -log D(fake) of both domains,
   combined with the bidirectional reconstruction term weighted by lambda.
+  It scores its fakes through a frozen view of the parameters, in which the
+  discriminator's tensors are constants over the same arrays, so its
+  backward pass takes only the input gradients of the discriminator's
+  layers and writes no gradient to a discriminator parameter.
 
 ``loss_mode`` selects the objective: ``re`` trains on reconstruction alone
 (the discriminator never updates), ``gan`` on the adversarial part alone,
 ``total`` on the weighted sum.  The two optimizers touch disjoint parameter
-sets, so neither phase can leak updates into the other.
+sets, so neither phase can leak updates into the other.  ``Adam.step``
+releases each gradient it applies, so a finished step leaves no gradient on
+the model.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -169,6 +175,13 @@ def total_loss(adv, recon, lam: float):
     return adv + lam * recon
 
 
+def _frozen_view(params: AiftParams) -> AiftParams:
+    """``params`` with each disc.* tensor replaced by a constant over the
+    same array; the generator tensors are shared."""
+    frozen = {k: Tensor(t.data) for k, t in params.discriminator_tensors().items()}
+    return replace(params, tensors={**params.tensors, **frozen})
+
+
 def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
                config: TrainConfig, g_opt: Adam, d_opt: Adam) -> StepLosses:
     """Run one critic-then-generator update on a single minibatch.
@@ -208,9 +221,10 @@ def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
     if mode == "re":
         g_obj = rec
     else:
+        critic = _frozen_view(params)
         adv = ad.neg(ad.add(
-            _mean_log(discriminate(params, gen_freq, "frequency")),
-            _mean_log(discriminate(params, gen_image, "image")),
+            _mean_log(discriminate(critic, gen_freq, "frequency")),
+            _mean_log(discriminate(critic, gen_image, "image")),
         ))
         _check_scalar_finite(adv, "generator adversarial")
         g_obj = adv if mode == "gan" else total_loss(adv, rec, config.lam)

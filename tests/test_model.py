@@ -324,7 +324,7 @@ class TestKernelLayout:
         params, _ = train((images, freqs), cfg)
         self.assert_layouts(params)
 
-    def test_gradients_and_adam_moments_after_a_train_step(self):
+    def test_gradients_and_adam_moments_after_a_train_step(self, monkeypatch):
         rng = np.random.default_rng(8)
         images = rng.uniform(0, 1, (3, 1, 16, 16))
         freqs = np.stack([spectrum_image(im[0]) for im in images])[:, None]
@@ -334,10 +334,20 @@ class TestKernelLayout:
         g_opt = Adam(params.generator_tensors(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
         d_opt = Adam(params.discriminator_tensors(), lr=cfg.lr, beta1=cfg.beta1,
                      beta2=cfg.beta2)
+        # Adam.step releases each gradient it applies; record them as it
+        # receives them
+        grads = {}
+        step = Adam.step
+
+        def recording(opt):
+            grads.update((p, p.grad) for p in opt.params)
+            step(opt)
+
+        monkeypatch.setattr(Adam, "step", recording)
         train_step(params, (images, freqs), cfg, g_opt, d_opt)
         kernels = self.kernels(params)
         self.assert_channel_last({n: t.data for n, t in kernels.items()})
-        self.assert_channel_last({n: t.grad for n, t in kernels.items()})
+        self.assert_channel_last({n: grads[t] for n, t in kernels.items()})
         moments = {}
         for group, opt in ((params.generator_tensors(), g_opt),
                            (params.discriminator_tensors(), d_opt)):

@@ -109,3 +109,25 @@ def test_sign_of_first_step_follows_gradient():
         p.grad = np.array([g])
         opt.step()
         assert math.copysign(1.0, -g) == math.copysign(1.0, p.data[0])
+
+
+def test_step_releases_each_gradient_it_applies():
+    # a second step without a new gradient applies an exact zero, bit for
+    # bit as zero_grad() then step() does
+    rng = np.random.default_rng(9)
+    start = rng.standard_normal((2, 3)).astype(np.float32)
+    grad = rng.standard_normal((2, 3)).astype(np.float32)
+    runs = []
+    for clear in (False, True):
+        p = Tensor(start.copy(), requires_grad=True)
+        opt = Adam([p], lr=0.1, beta1=0.5)
+        p.grad = grad.copy()
+        opt.step()
+        assert p.grad is None
+        if clear:
+            opt.zero_grad()
+        opt.step()
+        assert p.grad is None
+        runs.append((p.data, opt.m[0], opt.v[0]))
+    for released, cleared in zip(*runs):
+        assert np.array_equal(released, cleared)
