@@ -15,7 +15,7 @@ from aift import (
     SynthConfig,
     TrainConfig,
     auroc,
-    detect,
+    detect_images,
     load_image,
     normalize_patch,
     save_checkpoint,
@@ -46,7 +46,7 @@ def main():
     patches = [normalize_patch(load_image(manifest.image_path(e)))
                for e in manifest.train_entries()]
     images = np.stack(patches)[:, None]
-    freqs = np.stack([spectrum_image(p) for p in patches])[:, None]
+    freqs = spectrum_image(images)
 
     cfg = TrainConfig(epochs=args.epochs, batch_size=40, critic_iters=2,
                       lr=1e-3, base_channels=16, loss_mode="total", seed=0)
@@ -62,21 +62,17 @@ def main():
 
     print()
     print("== 3. scoring the held-out split ==")
-    scores, labels = [], []
-    heat_written = False
-    for entry in manifest.test_entries():
-        patch = normalize_patch(load_image(manifest.image_path(entry)))
-        result = detect(params, patch)
-        scores.append(result.image_score)
-        labels.append(entry.label == "defect")
-        if entry.label == "defect" and not heat_written:
-            heat = result.score_map / max(result.score_map.max(), 1e-12)
-            write_pgm(out / "defect_heatmap.pgm", heat)
-            write_pgm(out / "defect_patch.pgm", patch)
-            heat_written = True
+    entries = manifest.test_entries()
+    tests = [load_image(manifest.image_path(e)) for e in entries]
+    # one call scores the whole split, normalizing each patch itself
+    results = detect_images(params, tests)
+    scores = np.array([r.image_score for r in results])
+    labels = np.array([e.label == "defect" for e in entries])
+    first = int(np.argmax(labels))  # the first defect patch
+    heat = results[first].score_map / max(results[first].score_map.max(), 1e-12)
+    write_pgm(out / "defect_heatmap.pgm", heat)
+    write_pgm(out / "defect_patch.pgm", normalize_patch(tests[first]))
 
-    scores = np.array(scores)
-    labels = np.array(labels)
     print(f"mean score, normal patches: {scores[~labels].mean():.5f}")
     print(f"mean score, defect patches: {scores[labels].mean():.5f}")
     print(f"AUROC                     : {auroc(scores, labels):.4f}")

@@ -11,7 +11,7 @@ from .autodiff import Tensor, conv2d, conv_transpose2d, dense, no_grad
 from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
                    load_image, normalize_patch, read_pgm, synth_corpus,
                    write_pgm)
-from .detection import (DetectionResult, detect, detect_full_image,
+from .detection import (DetectionResult, detect, detect_full_image, detect_images,
                         jeffrey_divergence)
 from .errors import (AiftError, ConfigurationError, ContractError,
                      DimensionError, DomainError, InputError, IntegrityError,

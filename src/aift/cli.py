@@ -40,7 +40,7 @@ from . import __version__
 from .autodiff import Tensor, no_grad
 from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
                    load_image, normalize_patch, read_pgm, synth_corpus, write_pgm)
-from .detection import detect_full_image
+from .detection import detect_images
 from .errors import (AiftError, ConfigurationError, InputError, IntegrityError)
 from .metrics import evaluate
 from .model import (F2I, I2F, PATCH_SIZES, generate, load_checkpoint,
@@ -286,8 +286,7 @@ def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
         image = load_image(manifest.image_path(entry)) if i else first
         patches.extend(normalize_patch(p) for _, _, p in extract_patches(image, patch))
     images = np.stack(patches)[:, None, :, :]
-    freqs = np.stack([spectrum_image(p) for p in patches])[:, None, :, :]
-    return images, freqs, patch
+    return images, spectrum_image(images), patch
 
 
 def _fits_patch(name: str, image: np.ndarray, patch: int) -> np.ndarray:
@@ -433,8 +432,8 @@ def cmd_detect(args: argparse.Namespace) -> None:
         maps_dir.mkdir(exist_ok=True)
         rows = [["path", "label", "image_score"]]
         used: set[str] = set()
-        for name, label, image in tests:
-            result = detect_full_image(params, image, stride=args.stride or None)
+        results = detect_images(params, [image for _, _, image in tests], args.stride or None)
+        for (name, label, _), result in zip(tests, results):
             stem = _map_stem(used, name)
             # tolist gives Python floats, whose repr is _ft's
             lines = [",".join(map(repr, row)) for row in result.score_map.tolist()]
@@ -554,7 +553,7 @@ def cmd_ablation(args: argparse.Namespace) -> None:
         cells_of: dict[tuple[str, int], list] = {}
         for key, cfg in configs.items():
             params, _ = train((images, freqs), cfg)
-            results = [detect_full_image(params, image) for _, image in tests]
+            results = detect_images(params, [image for _, image in tests])
             seg_maps = [r.score_map for r, (e, _) in zip(results, tests) if e.mask]
             report = evaluate(seg_maps or None, seg_gts or None,
                               np.array([r.image_score for r in results]), labels)

@@ -8,8 +8,9 @@ per pixel with the symmetric Jeffrey divergence, giving a score map whose
 sum is the patch-level anomaly score.
 
 Every patch is scored through one private core that takes a stack of
-patches: ``detect`` scores a stack of one, and ``detect_full_image`` scores
-its tiles in chunks of ``_CHUNK``.  The core runs the generator under
+patches: ``detect`` scores a stack of one, ``detect_images`` scores the
+tiles of a list of images in chunks of ``_CHUNK``, and ``detect_full_image``
+is ``detect_images`` of one image.  The core runs the generator under
 ``autodiff.per_sample``, so each patch gets the bits it gets alone.
 
 Score maps are not rescaled.  Both inputs are clamped to [JEFFREY_EPS, 1],
@@ -26,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad, per_sample
-from .data import extract_patches, normalize_patch
+from .data import _grid_starts, normalize_patch
 from .errors import ConfigurationError, DimensionError, DomainError
 from .model import AiftParams, F2I, generate
 from .spectral import spectrum_image
 
 JEFFREY_EPS = 1e-7
-# tiles per generator pass in detect_full_image: larger chunks run faster
+# tiles per generator pass in detect_images: larger chunks run faster
 # but hold more activations at once
 _CHUNK = 8
 
@@ -65,14 +66,12 @@ class DetectionResult:
     image_score: float
 
 
-def _score(params: AiftParams, patches: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Score maps [B, P, P] and image scores of a stack of B normalized
-    patches; a patch's score is the sum of its own map."""
+def _score(params: AiftParams, patches: np.ndarray) -> np.ndarray:
+    """Score maps [B, P, P] of a stack of B normalized patches."""
     with no_grad(), per_sample():
         freq = Tensor(spectrum_image(patches)[:, None])
         regenerated = generate(params, freq, F2I).data[:, 0]
-    _, maps = jeffrey_divergence(patches, regenerated)
-    return maps, [float(m.sum()) for m in maps]
+    return jeffrey_divergence(patches, regenerated)[1]
 
 
 def detect(params: AiftParams, image: np.ndarray) -> DetectionResult:
@@ -88,8 +87,44 @@ def detect(params: AiftParams, image: np.ndarray) -> DetectionResult:
         raise DimensionError(f"detect expects a ({p}, {p}) patch, got {image.shape}")
     if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
         raise DomainError("detect: image values must lie in [0, 1]; normalize first")
-    maps, scores = _score(params, image[None])
-    return DetectionResult(score_map=maps[0], image_score=scores[0])
+    score_map = _score(params, image[None])[0]
+    return DetectionResult(score_map=score_map, image_score=float(score_map.sum()))
+
+
+def detect_images(params: AiftParams, images, stride: int | None = None) -> list[DetectionResult]:
+    """Score each image of a list as ``detect_full_image`` does, bit for bit.
+
+    Every image is checked before the first generator pass.  The tiles of
+    all images are scored in chunks of ``_CHUNK`` that may span two images,
+    and a chunk's tiles are cut and normalized only when it is scored.
+    """
+    p = params.patch_size
+    stride = p if stride is None else stride
+    if not 1 <= stride <= p:
+        raise ConfigurationError(f"stride must lie in [1, {p}], got {stride}")
+    images = [np.asarray(image, dtype=np.float64) for image in images]
+    for k, image in enumerate(images):
+        if image.ndim != 2 or min(image.shape) < p:
+            raise DimensionError(f"detect_full_image expects a 2-D image at least {p}px "
+                                 f"on each side, got shape {image.shape} (image {k})")
+        if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
+            raise DomainError("detect_full_image: image values must lie in [0, 1]; "
+                              f"normalize first (image {k})")
+    grid = [(k, y, x) for k, image in enumerate(images)
+            for y in _grid_starts(image.shape[0], p, stride)
+            for x in _grid_starts(image.shape[1], p, stride)]
+    acc = [np.zeros(image.shape) for image in images]
+    cover = [np.zeros(image.shape) for image in images]
+    for start in range(0, len(grid), _CHUNK):
+        chunk = grid[start:start + _CHUNK]
+        maps = _score(params, np.stack(
+            [normalize_patch(images[k][y:y + p, x:x + p]) for k, y, x in chunk]))
+        for (k, y, x), score_map in zip(chunk, maps):
+            acc[k][y:y + p, x:x + p] += score_map
+            cover[k][y:y + p, x:x + p] += 1.0
+    for a, c in zip(acc, cover):
+        a /= c
+    return [DetectionResult(score_map=a, image_score=float(a.sum())) for a in acc]
 
 
 def detect_full_image(params: AiftParams, image: np.ndarray,
@@ -101,30 +136,6 @@ def detect_full_image(params: AiftParams, image: np.ndarray,
     and per-pixel scores are averaged where patches overlap.  The tiles are
     scored in batches and added in grid order, so the stitched map, which
     has the input's shape, is the mean of the per-tile ``detect`` maps bit
-    for bit.
+    for bit.  This is ``detect_images`` of one image.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise DimensionError(f"detect_full_image expects a 2-D image, got shape {image.shape}")
-    p = params.patch_size
-    if image.shape[0] < p or image.shape[1] < p:
-        raise DimensionError(
-            f"image {image.shape} is smaller than the {p}px patch size")
-    if stride is None:
-        stride = p
-    if not 1 <= stride <= p:
-        raise ConfigurationError(f"stride must lie in [1, {p}], got {stride}")
-    if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
-        raise DomainError("detect_full_image: image values must lie in [0, 1]; normalize first")
-
-    acc = np.zeros(image.shape)
-    cover = np.zeros(image.shape)
-    tiles = extract_patches(image, p, stride)
-    for start in range(0, len(tiles), _CHUNK):
-        chunk = tiles[start:start + _CHUNK]
-        maps, _ = _score(params, np.stack([normalize_patch(patch) for _, _, patch in chunk]))
-        for (y, x, _), score_map in zip(chunk, maps):
-            acc[y:y + p, x:x + p] += score_map
-            cover[y:y + p, x:x + p] += 1.0
-    score_map = acc / cover
-    return DetectionResult(score_map=score_map, image_score=float(score_map.sum()))
+    return detect_images(params, [image], stride)[0]

@@ -25,6 +25,7 @@ from aift import (
     conv_transpose2d,
     dense,
     detect,
+    detect_images,
     dft2,
     evaluate,
     init_params,
@@ -97,8 +98,8 @@ def ablation_results(tmp_path_factory):
             cfg = TrainConfig(epochs=30, batch_size=50, lam=0.1, critic_iters=2,
                               lr=1e-3, base_channels=16, loss_mode=mode, seed=seed)
             params, log = train((images, freqs), cfg)
-            scores = np.array([detect(params, p).image_score
-                               for p, _ in test_patches])
+            scores = np.array([r.image_score for r in
+                               detect_images(params, [p for p, _ in test_patches])])
             labels = np.array([lbl for _, lbl in test_patches])
             aurocs[mode].append(auroc(scores, labels))
             if mode == "total":

@@ -2,6 +2,7 @@
 
 import argparse
 import fcntl
+import math
 import os
 import struct
 import subprocess
@@ -18,9 +19,10 @@ import aift
 from aift import __version__
 from aift.cli import _map_stem, _parse_args, _run_dir, _train_config, main
 from aift.errors import IntegrityError
-from aift.data import (DatasetManifest, ManifestEntry, SynthConfig, read_pgm, write_pgm,
-                       normalize_patch)
-from aift.model import init_params, save_checkpoint
+from aift.data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches, load_image,
+                       read_pgm, write_pgm, normalize_patch)
+from aift.detection import _CHUNK
+from aift.model import generate, init_params, save_checkpoint
 from aift.spectral import spectrum_image
 from aift.training import TrainConfig, train
 
@@ -67,6 +69,39 @@ def small_corpus(tmp_path, test_size=16, missing=False):
     DatasetManifest(data, [ManifestEntry("a.pgm", "", "normal", "train"),
                            ManifestEntry("t.pgm", "", "normal", "test")]).save()
     return data
+
+
+def mixed_corpus(tmp_path):
+    """A 16 px corpus whose test split mixes image sizes: five images, both
+    labels, and more tiles than one generator pass scores."""
+    data = tmp_path / "mixed"
+    data.mkdir()
+    rng = np.random.default_rng(6)
+    shapes = [(16, 16), (16, 16), (24, 40), (16, 16), (40, 16), (16, 16), (16, 16)]
+    entries = [ManifestEntry(f"n{i}.pgm", "", "normal", "train") for i in range(2)]
+    entries += [ManifestEntry(f"t{i}.pgm", "", ("normal", "defect")[i % 2], "test")
+                for i in range(5)]
+    for entry, shape in zip(entries, shapes):
+        write_pgm(data / entry.path, rng.uniform(0, 1, shape))
+    DatasetManifest(data, entries).save()
+    return data
+
+
+def scoring_passes(data, monkeypatch):
+    """Start counting the generator passes that scoring makes; returns the
+    list that gathers them and the chunk count that the test split of
+    ``data`` needs at the default stride."""
+    manifest = DatasetManifest.load(data)
+    tiles = sum(len(extract_patches(load_image(manifest.image_path(e)), 16))
+                for e in manifest.test_entries())
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr("aift.detection.generate", counting)
+    return calls, math.ceil(tiles / _CHUNK)
 
 
 # learning rates and loss weights that parse as floats but are not finite
@@ -650,6 +685,15 @@ class TestDetect:
         for path in sorted((detect_run / "maps").glob("*.csv")):
             assert (out / "maps" / path.name).read_bytes() == path.read_bytes()
 
+    def test_test_split_is_scored_in_chunks_across_images(self, ckpt, tmp_path, monkeypatch):
+        data = mixed_corpus(tmp_path)
+        calls, chunks = scoring_passes(data, monkeypatch)
+        assert chunks > 1
+        rc = main(["detect", "--ckpt", str(ckpt), "--data", str(data),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert len(calls) == chunks
+
     def test_rejects_both_data_and_image(self, corpus, ckpt, tmp_path):
         img_path = patch_image(tmp_path)
         rc = main(["detect", "--ckpt", str(ckpt), "--data", str(corpus),
@@ -939,6 +983,15 @@ class TestAblation:
         mean_cells = [float(c) for c in summary[1].split(",")[1:]]
         for col in range(4):
             assert mean_cells[col] == pytest.approx(row_cells[:, col].mean())
+
+    def test_each_cell_scores_the_split_in_chunks(self, tmp_path, monkeypatch):
+        data = mixed_corpus(tmp_path)
+        calls, chunks = scoring_passes(data, monkeypatch)
+        rc = main(["ablation", "--data", str(data), "--seeds", "0,1", "--loss-modes", "re",
+                   "--epochs", "1", "--batch", "2", "--critic-iters", "1",
+                   "--base-channels", "2", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert len(calls) == 2 * chunks
 
     def test_bad_seed_list(self, corpus, tmp_path):
         rc = main(["ablation", "--data", str(corpus), "--seeds", "0,x",

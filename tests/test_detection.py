@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import aift
-from aift import (detect, detect_full_image, extract_patches, init_params, jeffrey_divergence,
-                  normalize_patch)
+from aift import (detect, detect_full_image, detect_images, extract_patches, init_params,
+                  jeffrey_divergence, normalize_patch)
 from aift.detection import _CHUNK
 from aift.errors import ConfigurationError, DimensionError, DomainError
 
@@ -165,6 +165,15 @@ def _road():
     return image
 
 
+def _split():
+    """Images of 1, 6, 8 and 4 tiles at 16 px and stride 8: chunks of 8 end
+    inside the second and third images, the last chunk is partial, and the
+    second image is constant."""
+    rng = np.random.default_rng(8)
+    return [rng.uniform(0, 1, (16, 16)), np.full((20, 30), 0.3),
+            rng.uniform(0, 1, (24, 40)), rng.uniform(0, 1, (35, 16))]
+
+
 def _tile_mean(params, image, stride):
     """The mean of the per-tile ``detect`` maps, added in grid order."""
     p = params.patch_size
@@ -196,10 +205,54 @@ class TestBatchedTiles:
         code = ("import numpy as np, test_detection as t; "
                 "params = t.init_params(16, 5, base_channels=16); image = t._road(); "
                 "whole = t.detect_full_image(params, image, stride=8).score_map; "
-                "print(np.array_equal(whole, t._tile_mean(params, image, 8)))")
+                "print(np.array_equal(whole, t._tile_mean(params, image, 8)), "
+                "all(np.array_equal(r.score_map, t._tile_mean(params, i, 8)) for r, i "
+                "in zip(t.detect_images(params, t._split(), 8), t._split())))")
         paths = [str(Path(aift.__file__).resolve().parents[1]),
                  str(Path(__file__).resolve().parent)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(paths))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=env)
-        assert proc.stdout.strip() == "True"
+        assert proc.stdout.strip() == "True True"
+
+
+class TestDetectImages:
+    @pytest.fixture(scope="class")
+    def params(self):
+        return init_params(16, 5, base_channels=16)
+
+    def test_mixed_split_is_each_images_tile_mean_bit_for_bit(self, params):
+        split = _split()
+        assert [len(extract_patches(image, 16, 8)) for image in split] == [1, 6, 8, 4]
+        results = detect_images(params, split, stride=8)
+        assert len(results) == len(split)
+        for result, image in zip(results, split):
+            want = _tile_mean(params, image, 8)
+            assert result.score_map.tobytes() == want.tobytes()
+            assert result.image_score == float(want.sum())
+
+    def test_normalized_patches_equal_detect(self, params):
+        patches = [normalize_patch(p) for p in RNG.uniform(0, 1, (11, 16, 16))]
+        patches.append(np.zeros((16, 16)))
+        for result, patch in zip(detect_images(params, patches), patches):
+            single = detect(params, patch)
+            assert result.score_map.tobytes() == single.score_map.tobytes()
+            assert result.image_score == single.image_score
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((1, 16, 16)), DimensionError),
+        (np.zeros((8, 40)), DimensionError),
+        (np.full((16, 16), np.nan), DomainError),
+        (np.full((16, 16), 1.5), DomainError),
+    ], ids=["3-d", "too-small", "nan", "above-one"])
+    def test_invalid_image_raises_before_any_generator_pass(self, params, bad, error,
+                                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr("aift.detection.generate", lambda *a: calls.append(a))
+        split = [*_split(), bad, RNG.uniform(0, 1, (16, 16))]
+        with pytest.raises(error, match=r"\(image 4\)"):
+            detect_images(params, split, stride=8)
+        assert calls == []
+
+    def test_empty_list_gives_no_results(self, params):
+        assert detect_images(params, []) == []
