@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError, InputError
+from .errors import ConfigurationError, DimensionError, DomainError, InputError, check_count
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -243,12 +243,9 @@ class SynthConfig:
 
     def validate(self) -> "SynthConfig":
         for name in ("n_train", "n_test_normal", "n_test_defect"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.patch_size < 8:
-            raise ConfigurationError(f"patch_size must be >= 8, got {self.patch_size}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
+            check_count(name, getattr(self, name), 1)
+        check_count("patch_size", self.patch_size, 8)
+        check_count("seed", self.seed, 0)
         return self
 
 

@@ -4,8 +4,11 @@ The CLI (see cli.py) exits 2 for a ConfigurationError, 3 for an InputError
 and 4 for an IntegrityError, so the split between configuration, input and
 integrity problems is part of the public contract and not just cosmetics.
 DimensionError, DomainError, ContractError and MetricError share exit 1,
-the code of any other AiftError.
+the code of any other AiftError.  ``check_count`` is the one check of an
+integer setting (a count, a size or a seed).
 """
+
+import numbers
 
 
 class AiftError(Exception):
@@ -38,3 +41,13 @@ class ContractError(AiftError):
 
 class MetricError(AiftError):
     """A metric was asked to summarize data it cannot (e.g. one-class AUROC)."""
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int, if it is an integer (a Python or numpy one, not a
+    bool or a float) of at least ``minimum``; else a ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

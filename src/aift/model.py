@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, DimensionError, InputError, IntegrityError
+from .errors import ConfigurationError, DimensionError, InputError, IntegrityError, check_count
 
 PATCH_SIZES = (16, 32, 64)
 N_STAGES = 4
@@ -119,12 +119,11 @@ def init_params(patch_size: int, seed: int, base_channels: int = 32) -> AiftPara
     float32, biases zero.  The same seed always yields bit-identical tensors.
     Every kernel is stored channel-last (see the module docstring).
     """
+    patch_size = check_count("patch_size", patch_size, 0)
     if patch_size not in PATCH_SIZES:
         raise ConfigurationError(f"patch_size must be one of {PATCH_SIZES}, got {patch_size}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
-    if base_channels < 1:
-        raise ConfigurationError(f"base_channels must be >= 1, got {base_channels}")
+    seed = check_count("seed", seed, 0)
+    base_channels = check_count("base_channels", base_channels, 1)
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
     for name, shape in _layer_plan(patch_size, base_channels):

@@ -17,6 +17,22 @@ frequency image) pairs:
   backward pass takes only the input gradients of the discriminator's
   layers and writes no gradient to a discriminator parameter.
 
+Each phase back-propagates one loss term at a time, so only one term's
+graph is alive at once.  A critic iteration takes its four terms newest
+first, in the reverse of the order atcl_loss builds them (fake image, fake
+frequency, real frequency, real image), each seeded with -1: one backward
+pass of their sum visits them in that order, and a disc.* weight, which
+sums four gradients, must add them in that order to keep its bits, since
+float addition is not associative.  The generator phase runs F2I, then
+I2F; each direction generates, builds its reconstruction mean (seeded with
+lambda in ``total``, 1 in ``re``, left out of ``gan``'s pass) and its
+frozen critic's E[log D] (seeded with -1), and back-propagates them.  A
+generator weight sums at most two gradients, exact in either order.  The
+critic phase's fakes and likelihoods are gone before the generator runs.
+The logged losses are the float32 sums of the terms' values that the whole
+objective would compute, and each finiteness check runs before its term's
+backward pass.
+
 ``loss_mode`` selects the objective: ``re`` trains on reconstruction alone
 (the discriminator never updates), ``gan`` on the adversarial part alone,
 ``total`` on the weighted sum.  The two optimizers touch disjoint parameter
@@ -35,7 +51,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError, check_count
 from .model import (AiftParams, F2I, I2F, MODEL_DTYPE, generate, discriminate,
                     init_params)
 from .optim import Adam
@@ -58,23 +74,16 @@ class TrainConfig:
     base_channels: int = 32
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("epochs", "batch_size", "critic_iters", "base_channels"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
         if not 0.0 <= self.lam < np.inf:
             raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.critic_iters < 1:
-            raise ConfigurationError(f"critic_iters must be >= 1, got {self.critic_iters}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigurationError(
                 f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.base_channels < 1:
-            raise ConfigurationError(f"base_channels must be >= 1, got {self.base_channels}")
         return self
 
 
@@ -112,8 +121,9 @@ class StepLosses:
     recon: float
 
 
-def _check_scalar_finite(value: Tensor, term: str) -> Tensor:
-    if not np.all(np.isfinite(value.data)):
+def _check_finite(value, term: str):
+    """``value``, a scalar Tensor or number, if it is finite."""
+    if not np.all(np.isfinite(value.data if isinstance(value, Tensor) else value)):
         raise ContractError(f"non-finite value in loss term '{term}'")
     return value
 
@@ -122,17 +132,22 @@ def _mean_log(p: Tensor) -> Tensor:
     return ad.mean(ad.log(ad.clip(p, LIKELIHOOD_EPS, 1.0)))
 
 
-def _critic_score(d_real: Tensor, d_fake: Tensor) -> Tensor:
-    """One domain's critic term, E[log D(real)] + E[log(1 - D(fake))]."""
-    return ad.add(_mean_log(d_real), _mean_log(1.0 - d_fake))
-
-
-def _check_likelihood(t: Tensor, term: str) -> Tensor:
-    if t.data.ndim != 2 or t.shape[1] != 1:
-        raise DimensionError(f"{term} must be [N, 1] likelihoods, got {t.shape}")
-    if not np.all(np.isfinite(t.data)):
+def _critic_term(d: Tensor, term: str, real: bool) -> Tensor:
+    """One of the critic's four terms, E[log D] of a real sample's [N, 1]
+    likelihoods ``d`` or E[log(1 - D)] of a fake sample's."""
+    if d.data.ndim != 2 or d.shape[1] != 1:
+        raise DimensionError(f"{term} must be [N, 1] likelihoods, got {d.shape}")
+    if not np.all(np.isfinite(d.data)):
         raise ContractError(f"non-finite likelihood in {term}")
-    return t
+    return _mean_log(d if real else 1.0 - d)
+
+
+def _recon_term(x: Tensor, gen: Tensor, domain: str) -> Tensor:
+    """One direction's reconstruction term, the mean of (x - gen)^2."""
+    if x.shape != gen.shape:
+        raise DimensionError(f"{domain} shapes differ: {x.shape} vs {gen.shape}")
+    diff = ad.sub(x, gen)
+    return ad.mean(ad.mul(diff, diff))
 
 
 def atcl_loss(d_image_real: Tensor, d_freq_real: Tensor,
@@ -143,13 +158,11 @@ def atcl_loss(d_image_real: Tensor, d_freq_real: Tensor,
     E[log D(real)] + E[log(1 - D(fake))] over translated (fake) samples.
     All likelihoods are clamped away from {0, 1} before taking logs.
     """
-    _check_likelihood(d_image_real, "d_image_real")
-    _check_likelihood(d_freq_real, "d_freq_real")
-    _check_likelihood(d_freq_fake, "d_freq_fake")
-    _check_likelihood(d_image_fake, "d_image_fake")
-    value = ad.add(_critic_score(d_image_real, d_image_fake),
-                   _critic_score(d_freq_real, d_freq_fake))
-    return _check_scalar_finite(value, "atcl")
+    ir = _critic_term(d_image_real, "d_image_real", real=True)
+    fr = _critic_term(d_freq_real, "d_freq_real", real=True)
+    ff = _critic_term(d_freq_fake, "d_freq_fake", real=False)
+    fi = _critic_term(d_image_fake, "d_image_fake", real=False)
+    return _check_finite(ad.add(ad.add(ir, fi), ad.add(fr, ff)), "atcl")
 
 
 def recon_loss(x_image: Tensor, x_freq: Tensor,
@@ -159,14 +172,9 @@ def recon_loss(x_image: Tensor, x_freq: Tensor,
     Mean over all pixels of (x_freq - gen_freq)^2 plus the same for the
     image direction; symmetric in the two directions by construction.
     """
-    if x_freq.shape != gen_freq.shape:
-        raise DimensionError(f"frequency shapes differ: {x_freq.shape} vs {gen_freq.shape}")
-    if x_image.shape != gen_image.shape:
-        raise DimensionError(f"image shapes differ: {x_image.shape} vs {gen_image.shape}")
-    df = ad.sub(x_freq, gen_freq)
-    di = ad.sub(x_image, gen_image)
-    value = ad.add(ad.mean(ad.mul(df, df)), ad.mean(ad.mul(di, di)))
-    return _check_scalar_finite(value, "reconstruction")
+    value = ad.add(_recon_term(x_freq, gen_freq, "frequency"),
+                   _recon_term(x_image, gen_image, "image"))
+    return _check_finite(value, "reconstruction")
 
 
 def total_loss(adv, recon, lam: float):
@@ -182,6 +190,68 @@ def _frozen_view(params: AiftParams) -> AiftParams:
     return replace(params, tensors={**params.tensors, **frozen})
 
 
+def _critic_phase(params: AiftParams, x_image: Tensor, x_freq: Tensor,
+                  config: TrainConfig, d_opt: Adam) -> tuple[float, float]:
+    """``critic_iters`` ascent steps on atcl_loss, one backward pass per term;
+    returns the last iteration's image and frequency critic scores."""
+    with no_grad():
+        fake_freq = generate(params, x_image, I2F)
+        fake_image = generate(params, x_freq, F2I)
+    # atcl_loss's terms, newest first (see the module docstring)
+    terms = (("d_image_fake", fake_image, "image", False),
+             ("d_freq_fake", fake_freq, "frequency", False),
+             ("d_freq_real", x_freq, "frequency", True),
+             ("d_image_real", x_image, "image", True))
+    for _ in range(config.critic_iters):
+        d_opt.zero_grad()
+        values = {}
+        for term, x, domain, real in terms:
+            value = _critic_term(discriminate(params, x, domain), term, real)
+            ad.neg(value).backward()
+            values[term] = value.data
+        d_opt.step()
+    return (float(values["d_image_real"] + values["d_image_fake"]),
+            float(values["d_freq_real"] + values["d_freq_fake"]))
+
+
+def _generator_direction(params: AiftParams, critic: AiftParams | None, x: Tensor,
+                         target: Tensor, direction: str, domain: str,
+                         config: TrainConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Generate ``domain`` from ``x`` and back-propagate this direction's
+    share of the generator objective.  Returns its reconstruction term and,
+    scored by ``critic`` unless it is None (``re``), its E[log D(fake)]."""
+    gen = generate(params, x, direction)
+    rec = _check_finite(_recon_term(target, gen, domain), "reconstruction")
+    if critic is None:
+        rec.backward()
+        return rec.data, None
+    log_d = _check_finite(_mean_log(discriminate(critic, gen, domain)),
+                          "generator adversarial")
+    objective = ad.neg(log_d)
+    if config.loss_mode == "total":
+        objective = _check_finite(total_loss(objective, rec, config.lam),
+                                  "generator objective")
+    objective.backward()
+    return rec.data, log_d.data
+
+
+def _generator_phase(params: AiftParams, x_image: Tensor, x_freq: Tensor,
+                     config: TrainConfig, g_opt: Adam) -> tuple[float, float]:
+    """The generator's gradients, one backward pass per direction, newest
+    (F2I) first; returns the objective and the reconstruction term."""
+    g_opt.zero_grad()
+    critic = None if config.loss_mode == "re" else _frozen_view(params)
+    rec_i, log_d_i = _generator_direction(params, critic, x_freq, x_image, F2I, "image", config)
+    rec_f, log_d_f = _generator_direction(params, critic, x_image, x_freq, I2F, "frequency",
+                                          config)
+    recon = _check_finite(rec_f + rec_i, "reconstruction")
+    if critic is None:
+        return float(recon), float(recon)
+    adv = -(log_d_f + log_d_i)
+    g_loss = adv if config.loss_mode == "gan" else total_loss(adv, recon, config.lam)
+    return float(_check_finite(g_loss, "generator objective")), float(recon)
+
+
 def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
                config: TrainConfig, g_opt: Adam, d_opt: Adam) -> StepLosses:
     """Run one critic-then-generator update on a single minibatch.
@@ -192,48 +262,12 @@ def train_step(params: AiftParams, batch: tuple[np.ndarray, np.ndarray],
     images, freqs = batch
     x_image = Tensor(np.asarray(images, dtype=MODEL_DTYPE))
     x_freq = Tensor(np.asarray(freqs, dtype=MODEL_DTYPE))
-    mode = config.loss_mode
-
-    d_image_loss = 0.0
-    d_freq_loss = 0.0
-    if mode in ("gan", "total"):
-        with no_grad():
-            fake_freq = generate(params, x_image, I2F)
-            fake_image = generate(params, x_freq, F2I)
-        for _ in range(config.critic_iters):
-            d_opt.zero_grad()
-            d_image_real = discriminate(params, x_image, "image")
-            d_freq_real = discriminate(params, x_freq, "frequency")
-            d_freq_fake = discriminate(params, fake_freq, "frequency")
-            d_image_fake = discriminate(params, fake_image, "image")
-            atcl = atcl_loss(d_image_real, d_freq_real, d_freq_fake, d_image_fake)
-            ascent = ad.neg(atcl)
-            ascent.backward()
-            d_opt.step()
-        with no_grad():
-            d_image_loss = _critic_score(d_image_real, d_image_fake).item()
-            d_freq_loss = _critic_score(d_freq_real, d_freq_fake).item()
-
-    g_opt.zero_grad()
-    gen_freq = generate(params, x_image, I2F)
-    gen_image = generate(params, x_freq, F2I)
-    rec = recon_loss(x_image, x_freq, gen_freq, gen_image)
-    if mode == "re":
-        g_obj = rec
-    else:
-        critic = _frozen_view(params)
-        adv = ad.neg(ad.add(
-            _mean_log(discriminate(critic, gen_freq, "frequency")),
-            _mean_log(discriminate(critic, gen_image, "image")),
-        ))
-        _check_scalar_finite(adv, "generator adversarial")
-        g_obj = adv if mode == "gan" else total_loss(adv, rec, config.lam)
-    _check_scalar_finite(g_obj, "generator objective")
-    g_loss = g_obj.item()
-    rec_value = rec.item()
-    g_obj.backward()
+    d_image_loss = d_freq_loss = 0.0
+    if config.loss_mode != "re":
+        d_image_loss, d_freq_loss = _critic_phase(params, x_image, x_freq, config, d_opt)
+    g_loss, recon = _generator_phase(params, x_image, x_freq, config, g_opt)
     g_opt.step()
-    return StepLosses(g_loss, d_image_loss, d_freq_loss, rec_value)
+    return StepLosses(g_loss, d_image_loss, d_freq_loss, recon)
 
 
 def train(dataset: tuple[np.ndarray, np.ndarray], config: TrainConfig,

@@ -372,3 +372,57 @@ def auroc_pairs(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+# -- the training step as one backward pass per phase -------------------------
+
+
+def train_step_joint(params, batch, config, g_opt, d_opt):
+    """One ``train_step`` that back-propagates each phase's whole objective in
+    one pass: the critic's atcl_loss, then the generator's objective over
+    both directions, scored through a constant copy of the discriminator."""
+    from dataclasses import replace
+
+    import aift.autodiff as ad
+    from aift import StepLosses, Tensor, atcl_loss, no_grad, recon_loss, total_loss
+    from aift.model import F2I, I2F, MODEL_DTYPE, discriminate, generate
+    from aift.training import LIKELIHOOD_EPS
+
+    def mean_log(p):
+        return ad.mean(ad.log(ad.clip(p, LIKELIHOOD_EPS, 1.0)))
+
+    x_image = Tensor(np.asarray(batch[0], dtype=MODEL_DTYPE))
+    x_freq = Tensor(np.asarray(batch[1], dtype=MODEL_DTYPE))
+    mode = config.loss_mode
+    d_image_loss = d_freq_loss = 0.0
+    if mode != "re":
+        with no_grad():
+            fake_freq = generate(params, x_image, I2F)
+            fake_image = generate(params, x_freq, F2I)
+        for _ in range(config.critic_iters):
+            d_opt.zero_grad()
+            d_image_real = discriminate(params, x_image, "image")
+            d_freq_real = discriminate(params, x_freq, "frequency")
+            d_freq_fake = discriminate(params, fake_freq, "frequency")
+            d_image_fake = discriminate(params, fake_image, "image")
+            ad.neg(atcl_loss(d_image_real, d_freq_real, d_freq_fake, d_image_fake)).backward()
+            d_opt.step()
+        with no_grad():
+            d_image_loss = (mean_log(d_image_real) + mean_log(1.0 - d_image_fake)).item()
+            d_freq_loss = (mean_log(d_freq_real) + mean_log(1.0 - d_freq_fake)).item()
+
+    g_opt.zero_grad()
+    gen_freq = generate(params, x_image, I2F)
+    gen_image = generate(params, x_freq, F2I)
+    rec = recon_loss(x_image, x_freq, gen_freq, gen_image)
+    objective = rec
+    if mode != "re":
+        critic = replace(params, tensors={
+            k: Tensor(t.data) if k.startswith("disc.") else t for k, t in params.tensors.items()})
+        adv = ad.neg(ad.add(mean_log(discriminate(critic, gen_freq, "frequency")),
+                            mean_log(discriminate(critic, gen_image, "image"))))
+        objective = adv if mode == "gan" else total_loss(adv, rec, config.lam)
+    g_loss, recon = objective.item(), rec.item()
+    objective.backward()
+    g_opt.step()
+    return StepLosses(g_loss, d_image_loss, d_freq_loss, recon)

@@ -401,6 +401,25 @@ class TestSynthConfig:
             with pytest.raises(ConfigurationError):
                 cfg.validate()
 
+    @pytest.mark.parametrize("kw", [dict(n_train=2.0), dict(n_test_normal=1.5),
+                                    dict(n_test_defect=True), dict(patch_size=16.0),
+                                    dict(seed=True), dict(seed=0.0)],
+                             ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))!r}")
+    def test_rejects_a_count_that_is_not_an_integer(self, kw):
+        cfg = dict(n_train=2, n_test_normal=1, n_test_defect=1, patch_size=16, seed=0)
+        cfg.update(kw)
+        with pytest.raises(ConfigurationError, match=f"{next(iter(kw))} must be an integer"):
+            SynthConfig(**cfg).validate()
+
+    def test_numpy_integers_make_the_same_corpus(self, tmp_path):
+        counts = dict(n_train=2, n_test_normal=1, n_test_defect=1, patch_size=16, seed=3)
+        plain = synth_corpus(SynthConfig(**counts), tmp_path / "plain")
+        numpy = synth_corpus(SynthConfig(**{k: np.int64(v) for k, v in counts.items()}),
+                             tmp_path / "numpy")
+        for entry in plain.entries:
+            assert (plain.image_path(entry).read_bytes()
+                    == numpy.image_path(entry).read_bytes()), entry.path
+
 
 class TestSynthCorpus:
     def make(self, tmp_path, name="corpus", seed=9):

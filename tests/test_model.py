@@ -74,6 +74,22 @@ class TestInit:
         with pytest.raises(ConfigurationError, match=f"base_channels must be >= 1, got {base}"):
             init_params(16, 0, base_channels=base)
 
+    @pytest.mark.parametrize("kw", [dict(seed=True), dict(seed=2.0), dict(base_channels=4.0),
+                                    dict(base_channels=np.True_), dict(patch_size=16.0)],
+                             ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))!r}")
+    def test_rejects_a_count_that_is_not_an_integer(self, kw):
+        args = dict(patch_size=16, seed=0, base_channels=4)
+        args.update(kw)
+        with pytest.raises(ConfigurationError, match=f"{next(iter(kw))} must be an integer"):
+            init_params(**args)
+
+    def test_numpy_integers_act_as_python_integers(self):
+        p = init_params(np.int64(16), np.int64(3), base_channels=np.int32(4))
+        q = init_params(16, 3, base_channels=4)
+        assert (p.patch_size, p.seed, p.base_channels) == (16, 3, 4)
+        assert all(type(v) is int for v in (p.patch_size, p.seed, p.base_channels))
+        assert all(np.array_equal(p.tensors[n].data, q.tensors[n].data) for n in q.tensors)
+
     def test_channel_progression(self):
         p = init_params(16, 0, base_channels=4)
         assert p.stage_channels() == [4, 8, 16, 32]

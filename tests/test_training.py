@@ -1,11 +1,16 @@
 """Loss identities and training-loop contracts."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aift
 import aift.autodiff as ad
 from aift import (Tensor, TrainConfig, atcl_loss, detect, init_params, load_checkpoint,
                   recon_loss, save_checkpoint, total_loss, train, train_step)
@@ -13,6 +18,7 @@ from aift.errors import ConfigurationError, ContractError, DimensionError
 from aift.model import F2I, I2F, generate, discriminate
 from aift.optim import Adam
 from aift.training import LIKELIHOOD_EPS
+from oracles import train_step_joint
 
 
 def likelihoods(*values):
@@ -143,6 +149,24 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(**kw).validate()
 
+    @pytest.mark.parametrize("kw", [dict(batch_size=3.0), dict(epochs=1.5),
+                                    dict(critic_iters=1.5), dict(base_channels=4.0),
+                                    dict(seed=True), dict(seed=1.0), dict(epochs=np.True_)],
+                             ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))!r}")
+    def test_train_rejects_a_count_that_is_not_an_integer(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got "):
+            train(toy_batch(), _fresh(**kw))
+
+    def test_numpy_integers_train_as_python_integers(self):
+        images, freqs = toy_batch(n=6)
+        counts = dict(epochs=2, batch_size=3, critic_iters=1, seed=3, base_channels=4)
+        p1, log1 = train((images, freqs), _fresh(**counts))
+        p2, log2 = train((images, freqs), _fresh(**{k: np.int64(v) for k, v in counts.items()}))
+        assert (p2.seed, p2.base_channels) == (3, 4) and type(p2.seed) is int
+        assert all(np.array_equal(p1.tensors[n].data, p2.tensors[n].data) for n in p1.tensors)
+        assert [r.g_loss for r in log1.records] == [r.g_loss for r in log2.records]
+
 
 def _fresh(mode="total", **kw):
     defaults = dict(epochs=1, batch_size=3, lam=0.1, critic_iters=2, lr=1e-3,
@@ -169,6 +193,26 @@ def applied_grads(monkeypatch):
 
     monkeypatch.setattr(Adam, "step", recording)
     return grads
+
+
+def _state(params, g_opt, d_opt):
+    """Every parameter and Adam moment as bytes, and both step counters."""
+    return ([t.data.tobytes() for t in params.tensors.values()]
+            + [a.tobytes() for opt in (g_opt, d_opt) for a in opt.m + opt.v]
+            + [g_opt.t, d_opt.t])
+
+
+BIT_CASES = [(mode, base) for base in (16, 2) for mode in ("total", "gan", "re")]
+
+
+def three_steps(step, mode, base):
+    """The state and losses after three steps of ``step`` from a fresh model."""
+    images, freqs = (a.astype(np.float32) for a in toy_batch(n=8, seed=4))
+    params = init_params(16, 3, base_channels=base)
+    cfg = _fresh(mode, batch_size=8, critic_iters=2, base_channels=base)
+    g_opt, d_opt = _opts(params, cfg)
+    losses = [step(params, (images, freqs), cfg, g_opt, d_opt) for _ in range(3)]
+    return _state(params, g_opt, d_opt) + losses
 
 
 class TestTrainStep:
@@ -319,14 +363,17 @@ class TestTrainStep:
         for name, t in params.generator_tensors().items():
             assert np.array_equal(grads[t], live.tensors[name].grad), name
 
-    def test_total_step_peak_memory_at_the_acceptance_config(self):
-        # every conv layer keeps one output map, and the generator phase
-        # takes no discriminator kernel gradient; with a separate LeakyReLU
-        # node beside each conv the traced peak of this step was about 26 MB,
-        # and with the discriminator's gradients taken and kept 17.5 MB
+    @pytest.mark.parametrize("mode, bound", [("total", 12.5e6), ("re", 11.5e6)],
+                             ids=["total", "re"])
+    def test_step_peak_memory_at_the_acceptance_config(self, mode, bound):
+        # each loss term is back-propagated before the next one is built, so
+        # one discriminator or generator graph is alive at a time; with all
+        # four critic terms, or both directions, built before one backward
+        # pass the traced peak was 15.9 MB (total) and 13.2 MB (re), and
+        # 11.7 MB and 11.0 MB term by term
         images, freqs = (a.astype(np.float32) for a in toy_batch(n=50, patch=32))
         params = init_params(32, 0, base_channels=16)
-        cfg = _fresh("total", batch_size=50, critic_iters=2, base_channels=16)
+        cfg = _fresh(mode, batch_size=50, critic_iters=2, base_channels=16)
         g_opt, d_opt = _opts(params, cfg)
         tracemalloc.start()
         try:
@@ -334,7 +381,7 @@ class TestTrainStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 17e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak < bound, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_aborts_on_non_finite_input(self):
         images, freqs = toy_batch()
@@ -346,6 +393,55 @@ class TestTrainStep:
         with pytest.raises(ContractError) as err:
             train_step(params, (images, freqs), cfg, g_opt, d_opt)
         assert "reconstruction" in str(err.value) or "generator" in str(err.value)
+
+    @pytest.mark.parametrize("mode", ["gan", "total"])
+    @pytest.mark.parametrize("nan_in, term, passes_before", [
+        ("batch", "d_freq_fake", 1),
+        ("disc.image_head.w", "d_image_fake", 0),
+        ("disc.freq_head.w", "d_freq_fake", 1),
+    ])
+    def test_critic_guard_fires_before_its_terms_backward(self, mode, nan_in, term,
+                                                          passes_before, monkeypatch):
+        # a NaN patch makes the I2F fake non-finite; the critic's terms run
+        # fake image, fake frequency, real frequency, real image, so the
+        # fake image term alone is back-propagated before the guard fires
+        images, freqs = toy_batch()
+        params = init_params(16, 0, base_channels=4)
+        if nan_in == "batch":
+            images[1] = np.nan
+        else:
+            params.tensors[nan_in].data[0, 0] = np.nan
+        cfg = _fresh(mode)
+        g_opt, d_opt = _opts(params, cfg)
+        before = _state(params, g_opt, d_opt)
+        passes = []
+        backward = Tensor.backward
+        monkeypatch.setattr(Tensor, "backward", lambda t: (passes.append(t), backward(t)))
+        with pytest.raises(ContractError, match=f"non-finite likelihood in {term}$"):
+            train_step(params, (images, freqs), cfg, g_opt, d_opt)
+        assert len(passes) == passes_before
+        assert _state(params, g_opt, d_opt) == before
+
+
+class TestTermwiseBackward:
+    # train_step back-propagates one loss term at a time, newest first; each
+    # weight must sum its gradients in the order one backward pass of the
+    # whole objective uses (float addition is not associative)
+    @pytest.mark.parametrize("mode, base", BIT_CASES)
+    def test_three_steps_equal_the_one_backward_step(self, mode, base):
+        assert three_steps(train_step, mode, base) == three_steps(train_step_joint, mode, base)
+
+    def test_two_blas_threads_keep_the_bits(self):
+        # the thread count is read when numpy loads, so it needs a fresh process
+        code = ("import test_training as t, oracles; "
+                "print(all(t.three_steps(t.train_step, m, b) == "
+                "t.three_steps(oracles.train_step_joint, m, b) for m, b in t.BIT_CASES))")
+        paths = [str(Path(aift.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=env)
+        assert proc.stdout.strip() == "True"
 
 
 class TestTrainLoop:
