@@ -8,9 +8,8 @@ scores defects by how badly a patch survives regeneration.
 __version__ = "0.1.0"
 
 from .autodiff import Tensor, conv2d, conv_transpose2d, dense, no_grad
-from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
-                   load_image, normalize_patch, read_pgm, synth_corpus,
-                   write_pgm)
+from .data import (DatasetManifest, ManifestEntry, SynthConfig, load_image,
+                   normalize_patch, read_pgm, synth_corpus, write_pgm)
 from .detection import (DetectionResult, detect, detect_full_image, detect_images,
                         jeffrey_divergence)
 from .errors import (AiftError, ConfigurationError, ContractError,

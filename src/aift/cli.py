@@ -38,8 +38,8 @@ import numpy as np
 
 from . import __version__
 from .autodiff import Tensor, no_grad
-from .data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches,
-                   load_image, normalize_patch, read_pgm, synth_corpus, write_pgm)
+from .data import (DatasetManifest, ManifestEntry, SynthConfig, _tiles, load_image,
+                   normalize_patch, read_pgm, synth_corpus, write_pgm)
 from .detection import detect_images
 from .errors import (AiftError, ConfigurationError, InputError, IntegrityError)
 from .metrics import evaluate
@@ -284,7 +284,8 @@ def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
     patches: list[np.ndarray] = []
     for i, entry in enumerate(entries):
         image = load_image(manifest.image_path(entry)) if i else first
-        patches.extend(normalize_patch(p) for _, _, p in extract_patches(image, patch))
+        _fits_patch(entry.path, image, patch)
+        patches.extend(tile for _, _, tile in _tiles(image, patch, patch))
     images = np.stack(patches)[:, None, :, :]
     return images, spectrum_image(images), patch
 

@@ -1,4 +1,4 @@
-"""Image I/O, patch extraction, dataset manifests and the synthetic corpus.
+"""Image I/O, the patch tiler, dataset manifests and the synthetic corpus.
 
 Grayscale binary PGM (``P5``, 8- or 16-bit) is the canonical format and is
 parsed and written here without third-party help; the ASCII ``P2`` flavor
@@ -129,37 +129,21 @@ def normalize_patch(patch: np.ndarray) -> np.ndarray:
     return np.zeros_like(patch)
 
 
-def _grid_starts(extent: int, patch: int, stride: int) -> list[int]:
-    starts = list(range(0, extent - patch + 1, stride))
-    last = extent - patch
-    if starts[-1] != last:
-        starts.append(last)
-    return starts
+def _tiles(image: np.ndarray, patch: int, stride: int):
+    """Yield ``(row, col, tile)`` over an edge-aligned row-major grid, each
+    tile the ``normalize_patch`` of its window.
 
-
-def extract_patches(image: np.ndarray, patch_size: int,
-                    stride: int | None = None) -> list[tuple[int, int, np.ndarray]]:
-    """Cut an image into (row, col, patch) tiles on a row-major grid.
-
-    The grid walks in ``stride`` steps, at most one patch wide; when the
-    extent is not covered exactly, one final edge-aligned row/column of
-    patches is added so every pixel belongs to at least one patch.
+    The grid walks in ``stride`` steps; where they do not end at the far
+    edge, one last row or column of tiles is aligned to it, so every pixel
+    lies in some tile.  Callers check that the patch fits the 2-D image and
+    that ``1 <= stride <= patch``.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise InputError(f"extract_patches expects a 2-D image, got shape {image.shape}")
-    if stride is None:
-        stride = patch_size
     h, w = image.shape
-    if patch_size < 1 or h < patch_size or w < patch_size:
-        raise InputError(f"patch size {patch_size} does not fit image {image.shape}")
-    if not 1 <= stride <= patch_size:
-        raise InputError(f"stride must lie in [1, {patch_size}], got {stride}")
-    out = []
-    for y in _grid_starts(h, patch_size, stride):
-        for x in _grid_starts(w, patch_size, stride):
-            out.append((y, x, image[y:y + patch_size, x:x + patch_size].copy()))
-    return out
+    rows = [*range(0, h - patch, stride), h - patch]
+    cols = [*range(0, w - patch, stride), w - patch]
+    for y in rows:
+        for x in cols:
+            yield y, x, normalize_patch(image[y:y + patch, x:x + patch])
 
 
 # -- manifests ---------------------------------------------------------------

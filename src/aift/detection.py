@@ -10,8 +10,11 @@ sum is the patch-level anomaly score.
 Every patch is scored through one private core that takes a stack of
 patches: ``detect`` scores a stack of one, ``detect_images`` scores the
 tiles of a list of images in chunks of ``_CHUNK``, and ``detect_full_image``
-is ``detect_images`` of one image.  The core runs the generator under
-``autodiff.per_sample``, so each patch gets the bits it gets alone.
+is ``detect_images`` of one image.  The tiles come from ``data._tiles``,
+the cutter that also gives ``aift train`` its patches, so scoring sees the
+windows and the min-max normalization that training saw.  The core runs
+the generator under ``autodiff.per_sample``, so each patch gets the bits it
+gets alone.
 
 Score maps are not rescaled.  Both inputs are clamped to [JEFFREY_EPS, 1],
 so every per-pixel value lies in [0, ln 2] ~ [0, 0.693], and averaging
@@ -23,11 +26,12 @@ score map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad, per_sample
-from .data import _grid_starts, normalize_patch
+from .data import _tiles
 from .errors import ConfigurationError, DimensionError, DomainError
 from .model import AiftParams, F2I, generate
 from .spectral import spectrum_image
@@ -110,16 +114,12 @@ def detect_images(params: AiftParams, images, stride: int | None = None) -> list
         if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
             raise DomainError("detect_full_image: image values must lie in [0, 1]; "
                               f"normalize first (image {k})")
-    grid = [(k, y, x) for k, image in enumerate(images)
-            for y in _grid_starts(image.shape[0], p, stride)
-            for x in _grid_starts(image.shape[1], p, stride)]
+    tiles = ((k, *tile) for k, image in enumerate(images) for tile in _tiles(image, p, stride))
     acc = [np.zeros(image.shape) for image in images]
     cover = [np.zeros(image.shape) for image in images]
-    for start in range(0, len(grid), _CHUNK):
-        chunk = grid[start:start + _CHUNK]
-        maps = _score(params, np.stack(
-            [normalize_patch(images[k][y:y + p, x:x + p]) for k, y, x in chunk]))
-        for (k, y, x), score_map in zip(chunk, maps):
+    while chunk := list(islice(tiles, _CHUNK)):
+        maps = _score(params, np.stack([tile for *_, tile in chunk]))
+        for (k, y, x, _), score_map in zip(chunk, maps):
             acc[k][y:y + p, x:x + p] += score_map
             cover[k][y:y + p, x:x + p] += 1.0
     for a, c in zip(acc, cover):

@@ -25,10 +25,11 @@ pass of their sum visits them in that order, and a disc.* weight, which
 sums four gradients, must add them in that order to keep its bits, since
 float addition is not associative.  The generator phase runs F2I, then
 I2F; each direction generates, builds its reconstruction mean (seeded with
-lambda in ``total``, 1 in ``re``, left out of ``gan``'s pass) and its
-frozen critic's E[log D] (seeded with -1), and back-propagates them.  A
-generator weight sums at most two gradients, exact in either order.  The
-critic phase's fakes and likelihoods are gone before the generator runs.
+lambda in ``total`` and 1 in ``re``; ``gan`` builds it without a graph,
+since it never back-propagates it) and its frozen critic's E[log D]
+(seeded with -1), and back-propagates them.  A generator weight sums at
+most two gradients, exact in either order.  The critic phase's fakes and
+likelihoods are gone before the generator runs.
 The logged losses are the float32 sums of the terms' values that the whole
 objective would compute, and each finiteness check runs before its term's
 backward pass.
@@ -43,7 +44,9 @@ the model.
 
 from __future__ import annotations
 
+import numbers
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -77,6 +80,9 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "critic_iters", "base_channels"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed, 0)
+        for name, value in (("lambda", self.lam), ("lr", self.lr)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.lam < np.inf:
             raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.lr < np.inf:
@@ -221,7 +227,8 @@ def _generator_direction(params: AiftParams, critic: AiftParams | None, x: Tenso
     share of the generator objective.  Returns its reconstruction term and,
     scored by ``critic`` unless it is None (``re``), its E[log D(fake)]."""
     gen = generate(params, x, direction)
-    rec = _check_finite(_recon_term(target, gen, domain), "reconstruction")
+    with no_grad() if config.loss_mode == "gan" else nullcontext():
+        rec = _check_finite(_recon_term(target, gen, domain), "reconstruction")
     if critic is None:
         rec.backward()
         return rec.data, None

@@ -231,6 +231,28 @@ def adam_scalar_reference(p0, grads, lr, beta1, beta2, eps):
     return history
 
 
+# -- tiling ----------------------------------------------------------------------
+
+
+def tile_grid(shape, patch, stride):
+    """(row, col) of every tile of the edge-aligned grid, row-major.
+
+    On each axis the starts are 0, stride, 2 * stride, ..., each clamped to
+    the last start that leaves a whole patch, until that last start is
+    reached; so the far edge always has a tile and no start repeats.
+    """
+    axes = []
+    for extent in shape:
+        last = extent - patch
+        starts = []
+        k = 0
+        while not starts or starts[-1] < last:
+            starts.append(min(k * stride, last))
+            k += 1
+        axes.append(starts)
+    return [(y, x) for y in axes[0] for x in axes[1]]
+
+
 # -- divergence -----------------------------------------------------------------
 
 

@@ -17,14 +17,15 @@ import pytest
 
 import aift
 from aift import __version__
-from aift.cli import _map_stem, _parse_args, _run_dir, _train_config, main
+from aift.cli import _load_training_arrays, _map_stem, _parse_args, _run_dir, _train_config, main
 from aift.errors import IntegrityError
-from aift.data import (DatasetManifest, ManifestEntry, SynthConfig, extract_patches, load_image,
-                       read_pgm, write_pgm, normalize_patch)
+from aift.data import (DatasetManifest, ManifestEntry, SynthConfig, load_image, read_pgm,
+                       write_pgm, normalize_patch)
 from aift.detection import _CHUNK
 from aift.model import generate, init_params, save_checkpoint
 from aift.spectral import spectrum_image
 from aift.training import TrainConfig, train
+from oracles import tile_grid
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def scoring_passes(data, monkeypatch):
     list that gathers them and the chunk count that the test split of
     ``data`` needs at the default stride."""
     manifest = DatasetManifest.load(data)
-    tiles = sum(len(extract_patches(load_image(manifest.image_path(e)), 16))
+    tiles = sum(len(tile_grid(load_image(manifest.image_path(e)).shape, 16, 16))
                 for e in manifest.test_entries())
     calls = []
 
@@ -540,6 +541,25 @@ class TestTrain:
         out = tmp_path / "run"
         rc = main(["train", "--data", str(data), "--out", str(out)])
         assert_failed_without_output(rc, code, kind, capsys, out, words)
+
+    def test_a_road_image_trains_on_the_tiles_of_its_grid(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_pgm(data / "road.pgm", np.random.default_rng(4).uniform(0, 1, (40, 56)))
+        DatasetManifest(data, [ManifestEntry("road.pgm", "", "normal", "train")]).save()
+        images, freqs, patch = _load_training_arrays(DatasetManifest.load(data), 16)
+        road = read_pgm(data / "road.pgm")
+        want = [normalize_patch(road[y:y + 16, x:x + 16])
+                for y, x in tile_grid(road.shape, 16, 16)]
+        assert patch == 16 and images.shape == (12, 1, 16, 16)
+        assert images[:, 0].tobytes() == np.stack(want).tobytes()
+        assert freqs.tobytes() == spectrum_image(images).tobytes()
+
+    def test_training_image_smaller_than_the_patch_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(small_corpus(tmp_path)), "--patch-size", "32",
+                   "--out", str(out)])
+        assert_failed_without_output(rc, 4, "integrity error", capsys, out, "a.pgm", "32px")
 
     def test_bad_patch_size_is_config_error(self, corpus, tmp_path):
         rc = main(["train", "--data", str(corpus), "--patch-size", "20",
@@ -1023,6 +1043,12 @@ class TestAblation:
         rc = main(["ablation", "--data", str(small_corpus(tmp_path, test_size=8)),
                    "--seeds", "0", "--out", str(out)])
         assert_failed_without_output(rc, 4, "integrity error", capsys, out, "t.pgm")
+
+    def test_training_image_smaller_than_the_patch_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["ablation", "--data", str(small_corpus(tmp_path)), "--seeds", "0",
+                   "--patch-size", "32", "--out", str(out)])
+        assert_failed_without_output(rc, 4, "integrity error", capsys, out, "a.pgm", "32px")
 
     def test_rows_keep_the_seed_order_and_duplicates(self, corpus, tmp_path, monkeypatch):
         trained = []

@@ -1,4 +1,4 @@
-"""Image I/O, patch extraction, manifests and the synthetic corpus."""
+"""Image I/O, the patch tiler, manifests and the synthetic corpus."""
 
 import contextlib
 import sys
@@ -12,7 +12,7 @@ from aift.data import (
     DatasetManifest,
     ManifestEntry,
     SynthConfig,
-    extract_patches,
+    _tiles,
     load_image,
     normalize_patch,
     read_pgm,
@@ -20,6 +20,7 @@ from aift.data import (
     write_pgm,
 )
 from aift.errors import ConfigurationError, DimensionError, DomainError, InputError
+from oracles import tile_grid
 
 
 class TestPgmIo:
@@ -276,57 +277,48 @@ class TestNormalizePatch:
             normalize_patch(np.zeros(shape))
 
 
-class TestExtractPatches:
+class TestTiles:
+    """``_tiles`` against ``oracles.tile_grid``, the grid written from its
+    definition, and ``normalize_patch`` of each window."""
+
     def test_exact_tiling(self):
         img = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        tiles = extract_patches(img, 32)
+        tiles = list(_tiles(img, 32, 32))
         assert [(y, x) for y, x, _ in tiles] == [(0, 0), (0, 32), (32, 0), (32, 32)]
-        for y, x, patch in tiles:
-            np.testing.assert_array_equal(patch, img[y:y + 32, x:x + 32])
+        for y, x, tile in tiles:
+            np.testing.assert_array_equal(tile, normalize_patch(img[y:y + 32, x:x + 32]))
 
-    def test_remainder_adds_edge_aligned_row(self):
-        img = np.zeros((48, 48))
-        tiles = extract_patches(img, 32, stride=32)
-        offsets = sorted({y for y, _, _ in tiles})
-        assert offsets == [0, 16]
-        assert len(tiles) == 4
+    def test_remainder_adds_an_edge_aligned_row_and_column(self):
+        tiles = list(_tiles(np.zeros((40, 56)), 16, 16))
+        assert [(y, x) for y, x, _ in tiles] == [(y, x) for y in (0, 16, 24)
+                                                 for x in (0, 16, 32, 40)]
 
     def test_overlapping_stride(self):
-        img = np.zeros((32, 32))
-        tiles = extract_patches(img, 16, stride=8)
-        assert len(tiles) == 9
-        assert sorted({y for y, _, _ in tiles}) == [0, 8, 16]
+        tiles = list(_tiles(np.zeros((32, 32)), 16, 8))
+        assert [(y, x) for y, x, _ in tiles] == [(y, x) for y in (0, 8, 16) for x in (0, 8, 16)]
 
-    def test_every_pixel_covered(self):
+    def test_random_shapes_match_the_oracle_grid_and_cover_every_pixel(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             h = int(rng.integers(16, 50))
             w = int(rng.integers(16, 50))
-            stride = int(rng.integers(4, 17))
+            stride = int(rng.integers(1, 17))
+            tiles = list(_tiles(np.zeros((h, w)), 16, stride))
+            assert [(y, x) for y, x, _ in tiles] == tile_grid((h, w), 16, stride)
             cover = np.zeros((h, w), dtype=int)
-            for y, x, _ in extract_patches(np.zeros((h, w)), 16, stride=stride):
+            for y, x, _ in tiles:
                 cover[y:y + 16, x:x + 16] += 1
             assert cover.min() >= 1
 
-    def test_patches_are_copies(self):
-        img = np.zeros((16, 16))
-        _, _, patch = extract_patches(img, 16)[0]
-        patch[0, 0] = 5.0
-        assert img[0, 0] == 0.0
-
-    def test_patch_larger_than_image_rejected(self):
-        with pytest.raises(InputError):
-            extract_patches(np.zeros((8, 8)), 16)
-
-    def test_bad_stride_rejected(self):
-        # stride 5 over 4 px patches would leave 19 of the 100 pixels uncovered
-        for size, patch, stride in ((16, 8, 0), (10, 4, 5)):
-            with pytest.raises(InputError):
-                extract_patches(np.zeros((size, size)), patch, stride=stride)
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(InputError):
-            extract_patches(np.zeros((4, 4, 4)), 2)
+    @pytest.mark.parametrize("shape, stride", [((40, 56), 16), ((35, 16), 8), ((20, 30), 3)])
+    def test_each_tile_is_its_normalized_window_bit_for_bit(self, shape, stride):
+        img = np.random.default_rng(9).uniform(-2, 3, shape)
+        img[:16, :16] = 0.4  # one constant window, which normalizes to zeros
+        tiles = list(_tiles(img, 16, stride))
+        assert len(tiles) == len(tile_grid(shape, 16, stride))
+        for (y, x, tile), (gy, gx) in zip(tiles, tile_grid(shape, 16, stride)):
+            assert (y, x) == (gy, gx)
+            assert tile.tobytes() == normalize_patch(img[y:y + 16, x:x + 16]).tobytes()
 
 
 class TestManifest:

@@ -144,10 +144,16 @@ class TestTrainConfig:
                                     dict(critic_iters=0), dict(loss_mode="wgan"),
                                     dict(seed=-1), dict(lr=0.0), dict(lr=float("nan")),
                                     dict(lr=float("inf")), dict(lam=float("nan")),
-                                    dict(lam=float("inf")), dict(base_channels=0)])
+                                    dict(lam=float("inf")), dict(base_channels=0),
+                                    dict(lr="0.1"), dict(lam=None), dict(lam=True),
+                                    dict(lr=np.True_)])
     def test_rejects_invalid(self, kw):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kw).validate()
+
+    def test_numpy_floats_are_numbers(self):
+        cfg = TrainConfig(lam=np.float64(0.2), lr=np.float32(1e-3)).validate()
+        assert (cfg.lam, cfg.lr) == (np.float64(0.2), np.float32(1e-3))
 
     @pytest.mark.parametrize("kw", [dict(batch_size=3.0), dict(epochs=1.5),
                                     dict(critic_iters=1.5), dict(base_channels=4.0),
@@ -363,14 +369,16 @@ class TestTrainStep:
         for name, t in params.generator_tensors().items():
             assert np.array_equal(grads[t], live.tensors[name].grad), name
 
-    @pytest.mark.parametrize("mode, bound", [("total", 12.5e6), ("re", 11.5e6)],
-                             ids=["total", "re"])
+    @pytest.mark.parametrize("mode, bound", [("total", 12.5e6), ("gan", 12.0e6),
+                                             ("re", 11.5e6)], ids=["total", "gan", "re"])
     def test_step_peak_memory_at_the_acceptance_config(self, mode, bound):
         # each loss term is back-propagated before the next one is built, so
         # one discriminator or generator graph is alive at a time; with all
         # four critic terms, or both directions, built before one backward
         # pass the traced peak was 15.9 MB (total) and 13.2 MB (re), and
-        # 11.7 MB and 11.0 MB term by term
+        # 11.7 MB and 11.0 MB term by term.  gan builds its reconstruction
+        # means without a graph, as it never back-propagates them: with
+        # their graphs its peak was 12.1 MB, and 11.7 MB without
         images, freqs = (a.astype(np.float32) for a in toy_batch(n=50, patch=32))
         params = init_params(32, 0, base_channels=16)
         cfg = _fresh(mode, batch_size=50, critic_iters=2, base_channels=16)
