@@ -16,8 +16,9 @@ layers there is no broadcasting.
 
 A transposed convolution is a convolution's input gradient, so conv2d and
 conv_transpose2d share three array kernels.  Each runs its GEMM channel-last:
-the im2col columns are tap-major (kh, kw, C), copied in runs of C channels,
-and the product is an [N, H, W, K] array seen as [N, K, H, W].  Outputs and
+the im2col columns are tap-major (kh, kw, C), built once per GEMM input by
+copying each window row, kw pixels of C channels, as one item, and the
+product is an [N, H, W, K] array seen as [N, K, H, W].  Outputs and
 gradients keep that memory order, so the next GEMM reads them as pixel rows
 without a transposing copy.  Every kernel [A, B, kh, kw] is read tap-major,
 without a copy when it is laid out (A, kh, kw, B) in memory, as the model
@@ -33,11 +34,14 @@ not use it: one GEMM over the batch is faster.
 A conv op adds its layer's bias and applies its LeakyReLU, where(y > 0, y,
 slope * y) of the pre-activation y, itself, so a layer keeps one output map,
 not a pre-bias or pre-activation copy too: for a slope in (0, 1] the output
-has y's signs, which are all the activation's gradient reads.
+has y's signs, which are all the activation's gradient reads.  conv2d adds
+the bias into its fresh GEMM product unless the bias promotes the dtype,
+and the LeakyReLU overwrites y, so neither allocates another map.
 It holds its input array and its kernel, which the graph keeps anyway, and
 no column matrix; the backward pass rebuilds the columns of the kernel
 gradient, which costs a copy per step but cuts a training step's peak
-memory by about a third.
+memory by about a third.  conv_transpose2d's backward pass builds the
+columns of its output gradient once for both of its GEMMs.
 
 Dtypes follow the data.  A tensor keeps float32 or float64 values as given
 (anything else becomes float64), every buffer an operation allocates takes
@@ -332,14 +336,20 @@ def _leaky(x: np.ndarray, slope: float):
     """max(x, slope * x), which equals where(x > 0, x, slope * x) bit for bit
     for a slope in (0, 1], and its gradient function grad(g).
 
-    The gradient g * fmax(sign(out), slope) equals where(x > 0, g, slope * g)
-    bit for bit: the output is positive exactly where x is and NaN exactly
-    where x is, so the factor is exactly 1 above zero and exactly the slope,
-    rounded to g's dtype, at or below zero and at NaN (whose sign is NaN)."""
-    out = np.maximum(x, slope * x)
+    It consumes x: the output is written into x's buffer, which the caller
+    must own, and x is the output.  The gradient g * fmax(sign(out), slope)
+    equals where(x > 0, g, slope * g) bit for bit: the output is positive
+    exactly where x was and NaN exactly where x was, so the factor is
+    exactly 1 above zero and exactly the slope, rounded to g's dtype, at or
+    below zero and at NaN (whose sign is NaN).  The factor is built in one
+    buffer; the product is a new array, whose memory order numpy takes from
+    g and the factor."""
+    out = np.maximum(x, slope * x, out=x)
 
     def grad(g):
-        return g * np.fmax(np.sign(out).astype(g.dtype, copy=False), slope)
+        f = np.sign(out).astype(g.dtype, copy=False)
+        np.fmax(f, slope, out=f)
+        return g * f
 
     return out, grad
 
@@ -404,27 +414,28 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- convolution --------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """The (kh, kw) sliding windows of x [N, C, H, W], zero-padded by
-    ``padding``, as a read-only [N, Ho, Wo, kh, kw, C] view of a padded
-    channel-last copy.
+    ``padding``, as a contiguous [N * Ho * Wo, kh * kw * C] column matrix:
+    tap-major (kh, kw, C) columns, rows in batch/row/column order.
 
-    Reshaped as it is, the view gives the tap-major (kh, kw, C) columns of
-    every conv GEMM, copied in contiguous runs of C; channel-major
-    (C, kh, kw) columns would be copied one element at a time.  Rows come
-    in batch/row/column order.
+    A window row, kw pixels of C channels, is kw * C adjacent values of the
+    padded channel-last copy, so it is copied as one opaque item of that
+    many bytes; channel-major (C, kh, kw) columns would be copied one
+    element at a time.  The padded copy is freed on return.
     """
     n, c, h, w = x.shape
     xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
     xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    sn, sh, sw, sc = xp.strides
+    row = np.dtype(f"V{kw * c * xp.itemsize}")
+    cols = np.empty((n * ho * wo, kh * kw * c), dtype=x.dtype)
+    sn, sh, sw, _ = xp.strides
     # the ndarray constructor builds the view several times faster than as_strided
-    win = np.ndarray((n, ho, wo, kh, kw, c), xp.dtype, xp, 0,
-                     (sn, sh * stride, sw * stride, sh, sw, sc))
-    win.flags.writeable = False
-    return win
+    cols.view(row).reshape(n, ho, wo, kh)[...] = np.ndarray(
+        (n, ho, wo, kh), row, xp, 0, (sn, sh * stride, sw * stride, sh))
+    return cols
 
 
 def _pixel_rows(x: np.ndarray) -> np.ndarray:
@@ -443,16 +454,13 @@ def _matmul(rows: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     return rows @ m
 
 
-def _correlate(win: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """An _im2col view correlated with kernels k [K, C, kh, kw], as an
-    [N, K, Ho, Wo] view of a channel-last product: conv2d's forward pass and
-    conv_transpose2d's input gradient.
+def _correlate(cols: np.ndarray, k: np.ndarray, n: int, ho: int, wo: int) -> np.ndarray:
+    """_im2col columns of an [N, C, H, W] map correlated with kernels
+    k [K, C, kh, kw], as an [N, K, Ho, Wo] view of a channel-last product:
+    conv2d's forward pass and conv_transpose2d's input gradient.
 
-    The view, reshaped as it is, gives tap-major (kh, kw, C) columns, copied
-    in runs of C, and the kernel is read in the same order, without a copy
-    if it is stored (K, kh, kw, C) in memory."""
-    n, ho, wo, kh, kw, c = win.shape
-    cols = win.reshape(n * ho * wo, kh * kw * c)
+    The kernel is read in the columns' tap-major (kh, kw, C) order, without
+    a copy if it is stored (K, kh, kw, C) in memory."""
     kmat = k.transpose(0, 2, 3, 1).reshape(k.shape[0], -1)
     return _matmul(cols, kmat.T, n).reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
 
@@ -509,15 +517,12 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
     return out[:, padding:full_h - padding, padding:full_w - padding].transpose(0, 3, 1, 2)
 
 
-def _window_grad(win: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient of a kernel correlated with an _im2col view to give
-    g [N, G, Ho, Wo], as a [G, C, kh, kw] view of the (G, kh, kw, C) product,
-    the layout the model stores its kernels in: the kernel gradient of both
-    ops.  Tap-major columns copy faster than (C, kh, kw), and each entry is
-    still one dot product over the same rows."""
-    n, ho, wo, kh, kw, c = win.shape
-    cols = win.reshape(n * ho * wo, kh * kw * c)
-    return (_pixel_rows(g).T @ cols).reshape(-1, kh, kw, c).transpose(0, 3, 1, 2)
+def _window_grad(cols: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The gradient of a (kh, kw) kernel correlated with _im2col columns to
+    give g [N, G, Ho, Wo], as a [G, C, kh, kw] view of the (G, kh, kw, C)
+    product, the layout the model stores its kernels in: the kernel
+    gradient of both ops.  Each entry is one dot product over the rows."""
+    return (_pixel_rows(g).T @ cols).reshape(g.shape[1], kh, kw, -1).transpose(0, 3, 1, 2)
 
 
 def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, leak: float | None, stride: int,
@@ -563,9 +568,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
             f"conv2d: kernel ({kh}x{kw}) larger than padded input ({full_h}x{full_w})")
 
     xd, kd = x.data, k.data
-    out = _correlate(_im2col(xd, kh, kw, stride, padding), kd)
+    ho, wo = (full_h - kh) // stride + 1, (full_w - kw) // stride + 1
+    out = _correlate(_im2col(xd, kh, kw, stride, padding), kd, len(xd), ho, wo)
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        b = bias.data[None, :, None, None]
+        # in place into the fresh product unless the bias promotes it
+        out = np.add(out, b, out=out) if np.result_type(out, b) == out.dtype else out + b
     if leak is not None:
         out, leak_grad = _leaky(out, leak)
 
@@ -578,7 +586,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if k.requires_grad:
-            _accumulate(k, _window_grad(_im2col(xd, kh, kw, stride, padding), g))
+            _accumulate(k, _window_grad(_im2col(xd, kh, kw, stride, padding), g, kh, kw))
         if x.requires_grad:
             _accumulate(x, _correlate_adjoint(g, kd, stride, padding, full_h, full_w))
 
@@ -617,11 +625,11 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0,
             g = leak_grad(g)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        # g's windows line up with x's pixels
-        win = _im2col(g, kh, kw, stride, padding)
+        # g's windows line up with x's pixels; both GEMMs read one matrix
+        cols = _im2col(g, kh, kw, stride, padding)
         if k.requires_grad:
-            _accumulate(k, _window_grad(win, xd))
+            _accumulate(k, _window_grad(cols, xd, kh, kw))
         if x.requires_grad:
-            _accumulate(x, _correlate(win, kd))
+            _accumulate(x, _correlate(cols, kd, len(xd), h, w))
 
     return _record(out, (x, k) if bias is None else (x, k, bias), backward)

@@ -109,11 +109,10 @@ def detect_images(params: AiftParams, images, stride: int | None = None) -> list
     images = [np.asarray(image, dtype=np.float64) for image in images]
     for k, image in enumerate(images):
         if image.ndim != 2 or min(image.shape) < p:
-            raise DimensionError(f"detect_full_image expects a 2-D image at least {p}px "
-                                 f"on each side, got shape {image.shape} (image {k})")
+            raise DimensionError(f"scoring expects a 2-D image at least {p}px on each side, "
+                                 f"got shape {image.shape} (image {k})")
         if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
-            raise DomainError("detect_full_image: image values must lie in [0, 1]; "
-                              f"normalize first (image {k})")
+            raise DomainError(f"image values must lie in [0, 1]; normalize first (image {k})")
     tiles = ((k, *tile) for k, image in enumerate(images) for tile in _tiles(image, p, stride))
     acc = [np.zeros(image.shape) for image in images]
     cover = [np.zeros(image.shape) for image in images]

@@ -94,7 +94,8 @@ class TestForwardValues:
         x = np.concatenate([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
                              np.inf, -np.inf, info.max, -info.max],
                             np.random.default_rng(5).standard_normal(50)]).astype(dtype)
-        out, _ = ad._leaky(x, slope)
+        # _leaky writes its output into its argument
+        out, _ = ad._leaky(x.copy(), slope)
         ref, _ = leaky_relu_where(x, x, slope)
         assert out.dtype == dtype
         assert np.array_equal(_bits(out), _bits(ref))
@@ -110,7 +111,7 @@ class TestForwardValues:
         x = np.concatenate([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny, np.inf, -np.inf,
                              info.max, -info.max, np.nan],
                             np.random.default_rng(7).standard_normal(50)]).astype(dtype)
-        _, grad = ad._leaky(x, slope)
+        _, grad = ad._leaky(x.copy(), slope)
         for gtype in (np.float64, np.float32):
             g = np.random.default_rng(8).standard_normal(x.shape).astype(gtype)
             g[:4] = [0.0, -0.0, -0.0, 0.0]
@@ -446,6 +447,44 @@ class TestConvolutionValues:
             grads.append(kt.grad)
         assert np.array_equal(grads[0], grads[1])
 
+    # a 3x4 kernel, so that window rows and columns differ in length
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("channels", [1, 3, 16])
+    def test_im2col_is_the_window_view_reshaped_bit_for_bit(self, channels, stride, padding,
+                                                            batch, dtype):
+        rng = np.random.default_rng(2450 + channels + 10 * stride + padding)
+        x = rng.standard_normal((batch, channels, 7, 6)).astype(dtype)
+        x[0, 0, 0, :2] = [-0.0, np.nan]
+        xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (padding,) * 2, (padding,) * 2, (0, 0)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 4), axis=(1, 2))
+        want = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3).reshape(-1, 3 * 4 * channels)
+        cols = ad._im2col(x, 3, 4, stride, padding)
+        assert cols.dtype == dtype and cols.flags.c_contiguous
+        assert cols.shape == want.shape
+        assert np.array_equal(_bits(cols), _bits(want))
+
+    def test_conv_transpose2d_backward_builds_its_columns_once(self, monkeypatch):
+        # the kernel gradient and the input gradient read one column matrix of g
+        calls = []
+        im2col = ad._im2col
+
+        def counting(*args):
+            calls.append(args[1:])
+            return im2col(*args)
+
+        monkeypatch.setattr(ad, "_im2col", counting)
+        rng = np.random.default_rng(2460)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 5, 4, 4)), requires_grad=True)
+        y = ad.conv_transpose2d(x, k, 2, 1)
+        assert calls == []
+        ad.tsum(y).backward()
+        assert calls == [(4, 4, 2, 1)]
+        assert x.grad is not None and k.grad is not None
+
     @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
     def test_input_gradient_is_stored_channel_last(self, transpose):
         # both input gradients come out of a channel-last product; conv2d's
@@ -537,7 +576,7 @@ class TestConvolutionValues:
                     # fused op's gradient is (numpy picks that order from g
                     # and the output), so that the sums behind it add in the
                     # same order
-                    grad = np.empty_like(ad._leaky(pre.data, 0.2)[1](g))
+                    grad = np.empty_like(ad._leaky(pre.data.copy(order="K"), 0.2)[1](g))
                     grad[...] = leaky_relu_where(pre.data, g, 0.2)[1]
                     ad._accumulate(pre, grad)
 
@@ -817,6 +856,13 @@ class TestDtypePolicy:
         assert kt.grad.dtype == np.float64
         ref = _kernel_grad_loops(x, g, k.shape, 2, 1, transpose)
         assert np.max(np.abs(kt.grad - ref)) < 1e-9
+        # a float64 bias promotes a float32 map: the float32 sum plus the bias
+        x32 = Tensor(x.astype(np.float32))
+        b = rng.standard_normal(out.shape[1])
+        biased = op(x32, Tensor(k), 2, 1, bias=Tensor(b))
+        assert biased.data.dtype == np.float64
+        want = op(x32, Tensor(k), 2, 1).data + b[:, None, None]
+        assert np.array_equal(_bits(biased.data), _bits(want))
 
     def test_mixed_gradients_are_not_cast_down(self):
         a = Tensor(RNG.uniform(-1, 1, 4).astype(np.float32), requires_grad=True)

@@ -138,7 +138,8 @@ class TestDetectFullImage:
     def test_nan_pixel_fails_the_range_check(self, params16):
         img = RNG.uniform(0, 1, (16, 32))
         img[3, 20] = np.nan
-        with pytest.raises(DomainError, match=r"detect_full_image: image values must lie"):
+        with pytest.raises(DomainError, match=r"^image values must lie in \[0, 1\]; "
+                                              r"normalize first \(image 0\)$"):
             detect_full_image(params16, img)
 
     @pytest.mark.parametrize("shape", [(1, 16, 16), (16,)], ids=["3-d", "1-d"])
@@ -253,6 +254,12 @@ class TestDetectImages:
         with pytest.raises(error, match=r"\(image 4\)"):
             detect_images(params, split, stride=8)
         assert calls == []
+
+    def test_errors_name_the_image_not_an_entry(self, params):
+        # the errors do not name detect_full_image when detect_images raises them
+        with pytest.raises(DimensionError, match=r"^scoring expects a 2-D image at least 16px "
+                           r"on each side, got shape \(8, 8\) \(image 1\)$"):
+            detect_images(params, [np.zeros((16, 16)), np.zeros((8, 8))])
 
     def test_empty_list_gives_no_results(self, params):
         assert detect_images(params, []) == []

@@ -369,8 +369,8 @@ class TestTrainStep:
         for name, t in params.generator_tensors().items():
             assert np.array_equal(grads[t], live.tensors[name].grad), name
 
-    @pytest.mark.parametrize("mode, bound", [("total", 12.5e6), ("gan", 12.0e6),
-                                             ("re", 11.5e6)], ids=["total", "gan", "re"])
+    @pytest.mark.parametrize("mode, bound", [("total", 12.05e6), ("gan", 11.55e6),
+                                             ("re", 11.05e6)], ids=["total", "gan", "re"])
     def test_step_peak_memory_at_the_acceptance_config(self, mode, bound):
         # each loss term is back-propagated before the next one is built, so
         # one discriminator or generator graph is alive at a time; with all
@@ -378,7 +378,10 @@ class TestTrainStep:
         # pass the traced peak was 15.9 MB (total) and 13.2 MB (re), and
         # 11.7 MB and 11.0 MB term by term.  gan builds its reconstruction
         # means without a graph, as it never back-propagates them: with
-        # their graphs its peak was 12.1 MB, and 11.7 MB without
+        # their graphs its peak was 12.1 MB, and 11.7 MB without.  Building
+        # the columns without a padded copy alive beside them and writing the
+        # bias and LeakyReLU in place took 0.44 MB off each: 11.2 MB (total,
+        # gan) and 10.5 MB (re)
         images, freqs = (a.astype(np.float32) for a in toy_batch(n=50, patch=32))
         params = init_params(32, 0, base_channels=16)
         cfg = _fresh(mode, batch_size=50, critic_iters=2, base_channels=16)
