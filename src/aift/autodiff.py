@@ -537,6 +537,8 @@ def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, leak: float | None, s
         raise DimensionError(f"padding must be >= 0, got {padding}")
     if x.data.ndim != 4:
         raise DimensionError(f"{op} input must be [N, C, H, W], got {x.shape}")
+    if 0 in x.shape[:2]:
+        raise DimensionError(f"{op} input has no samples or no channels, got shape {x.shape}")
     if k.data.ndim != 4:
         raise DimensionError(f"{op} kernel must be [{axes}, kh, kw], got {k.shape}")
     kc = k.shape[0 if transpose else 1]

@@ -8,9 +8,12 @@ Each image yields one count table, a row per threshold with the columns
 n_pred, n_gt, inter, matched_pred and matched_gt; every segmentation metric
 is read from it.  A column counts the values >= t in one pixel subset (all
 pixels, GT pixels, pixels near GT, and GT pixels under the disk-max of the
-prediction), for the whole grid at once by sorting the subset and searching
-it.  Pixels are near when their integer offset has sqrt(dy^2 + dx^2) <=
-``tolerance``, the test a Euclidean distance transform makes.
+prediction).  Each value falls in one of 100 bins, the number of grid
+thresholds it reaches, so a histogram of the subset's bins, summed from the
+top, gives the column for the whole grid at once.  Consecutive maps of one
+shape are stacked and histogrammed together.  Pixels are near when their
+integer offset has sqrt(dy^2 + dx^2) <= ``tolerance``, the test a Euclidean
+distance transform makes.
 
 * AIU: the interval-averaged intersection over union.
 * ODS / OIS: best F-measure at a single dataset-wide threshold versus the
@@ -23,6 +26,7 @@ loop-based references bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,9 +35,14 @@ import numpy as np
 from .errors import DimensionError, MetricError
 
 # Score maps from aift.detection lie in [0, ln 2] ~ [0, 0.693], so the 30
-# thresholds from 0.70 to 0.99 never fire on them.  They stay in the grid:
-# AIU averages over all 99, so dropping them would move every reported AIU.
+# thresholds from 0.70 to 0.99 never fire on them; each costs one empty
+# histogram bin.  They stay in the grid: AIU averages over all 99, so
+# dropping them would move every reported AIU.
 THRESHOLDS = np.arange(1, 100) / 100.0
+# value v lies in bin j when _EDGES[j] <= v < _EDGES[j + 1]
+_EDGES = np.concatenate([[-np.inf], THRESHOLDS, [np.inf]])
+# pixels counted in one stack of maps; bounds the stack's temporaries
+_STACK = 2 ** 14
 
 
 def _as_pred(pred: np.ndarray) -> np.ndarray:
@@ -42,7 +51,8 @@ def _as_pred(pred: np.ndarray) -> np.ndarray:
         raise DimensionError(f"prediction map must be 2-D, got shape {pred.shape}")
     if pred.size == 0:
         raise DimensionError(f"prediction map of shape {pred.shape} has no pixels")
-    if not np.all(np.isfinite(pred)) or pred.min() < 0.0 or pred.max() > 1.0:
+    # NaN fails both comparisons
+    if not (pred.min() >= 0.0 and pred.max() <= 1.0):
         raise MetricError("prediction map values must lie in [0, 1]")
     return pred
 
@@ -66,25 +76,36 @@ def _disk(tolerance: float, shape: tuple[int, int]) -> list[tuple[int, int]]:
 
 
 def _disk_max(values: np.ndarray, disk) -> np.ndarray:
-    """Each pixel's maximum over the in-bounds pixels at the ``disk`` offsets."""
-    h, w = values.shape
+    """Each pixel's maximum over the in-bounds pixels at the ``disk`` offsets
+    of its own map; the maps are the last two axes."""
+    h, w = values.shape[-2:]
     out = values.copy()
     for dy, dx in disk:
-        dst = out[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
-        np.maximum(dst, values[max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)], out=dst)
+        dst = out[..., max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
+        np.maximum(dst, values[..., max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)],
+                   out=dst)
     return out
 
 
-def _count_table(pred: np.ndarray, gt: np.ndarray, tolerance: float,
-                 thresholds=THRESHOLDS) -> np.ndarray:
-    """[thresholds, 5] counts of one map: n_pred, n_gt, inter, matched_pred, matched_gt."""
-    disk = _disk(tolerance, pred.shape)
-    subsets = (pred, pred[gt], pred[_disk_max(gt, disk)], _disk_max(pred, disk)[gt])
-    n_pred, inter, matched_pred, matched_gt = (
-        v.size - np.searchsorted(np.sort(v, axis=None), thresholds, side="left")
-        for v in subsets)
-    n_gt = np.full_like(n_pred, np.count_nonzero(gt))
-    return np.stack([n_pred, n_gt, inter, matched_pred, matched_gt], axis=-1)
+def _bins(values: np.ndarray) -> np.ndarray:
+    """How many grid thresholds each value in [0, 1] reaches, exactly
+    ``np.searchsorted(THRESHOLDS, values, side="right")``, as uint8."""
+    guess = np.minimum((values * 100.0).astype(np.uint8), THRESHOLDS.size)
+    # int(100 * v) is off by at most one bin, which one comparison with
+    # each neighbouring edge corrects
+    return guess + (values >= _EDGES[guess + 1]) - (values < _EDGES[guess])
+
+
+def _stacks(preds: list) -> list[tuple[int, int]]:
+    """Index ranges of consecutive same-shape maps holding at most ``_STACK``
+    pixels together; a larger map is a stack alone."""
+    ranges, start = [], 0
+    for shape, group in itertools.groupby(pred.shape for pred in preds):
+        stop = start + len(list(group))
+        per = max(1, _STACK // math.prod(shape))
+        ranges += [(a, min(a + per, stop)) for a in range(start, stop, per)]
+        start = stop
+    return ranges
 
 
 def _tables(preds, gts, tolerance: float) -> np.ndarray:
@@ -94,8 +115,27 @@ def _tables(preds, gts, tolerance: float) -> np.ndarray:
     if not preds:
         raise MetricError("no prediction maps to evaluate")
     preds = [_as_pred(pred) for pred in preds]
-    return np.stack([_count_table(pred, _as_gt(gt, pred.shape), tolerance)
-                     for pred, gt in zip(preds, gts)])
+    gts = [_as_gt(gt, pred.shape) for pred, gt in zip(preds, gts)]
+    n_bins = THRESHOLDS.size + 1
+    hists = []
+    for a, b in _stacks(preds):
+        disk = _disk(tolerance, preds[a].shape)
+        gt = np.stack(gts[a:b])
+        bins = _bins(np.stack(preds[a:b]))
+        # bin j of row k goes to j + n_bins * k, so one bincount histograms
+        # every map of the stack; the bin of the disk-max is the disk-max of
+        # the bins, taken over one byte a pixel
+        rows = n_bins * np.arange(b - a)[:, None, None]
+        binned = bins + rows
+        columns = (binned, binned[gt], binned[_disk_max(gt, disk)],
+                   (_disk_max(bins, disk) + rows)[gt])
+        hists.append(np.stack([np.bincount(c.ravel(), minlength=(b - a) * n_bins)
+                               for c in columns], axis=-1).reshape(b - a, n_bins, 4))
+    # at_least[:, j] counts the values in bins j and up, those >= THRESHOLDS[j - 1]
+    at_least = np.cumsum(np.concatenate(hists)[:, ::-1], axis=1)[:, ::-1]
+    table = at_least[:, 1:, [0, 1, 1, 2, 3]]
+    table[..., 1] = at_least[:, :1, 1]
+    return table
 
 
 def _iou(table: np.ndarray) -> np.ndarray:
@@ -132,17 +172,17 @@ def _mean(values: np.ndarray) -> np.ndarray:
 
 def aiu(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean IoU over the fixed threshold grid for one image."""
-    pred = _as_pred(pred)
-    return float(_aiu(_count_table(pred, _as_gt(gt, pred.shape), 0.0)))
+    return float(_aiu(_tables([pred], [gt], 0.0)[0]))
 
 
 def f_measure(pred_bin: np.ndarray, gt: np.ndarray, tolerance: float = 0.0) -> float:
     """F-measure of one binarized map against ground truth.
 
-    The map's positives are its values >= 1, so its count table has one row.
+    The map's positives are its True pixels: a {0, 1} map reaches the
+    grid's last threshold, 0.99, exactly where it is 1.
     """
-    pred = _as_pred(np.asarray(pred_bin, dtype=bool))
-    return float(_prf(_count_table(pred, _as_gt(gt, pred.shape), tolerance, thresholds=1.0))[2])
+    table = _tables([np.asarray(pred_bin, dtype=bool)], [gt], tolerance)
+    return float(_prf(table[0, -1])[2])
 
 
 def auroc(scores, labels) -> float:

@@ -609,10 +609,19 @@ class TestConvolutionValues:
          r"conv_transpose2d kernel must be \[C, K, kh, kw\]"),
         (ad.conv_transpose2d, (1, 1, 1, 1), (1, 1, 2, 2), 1, 1,
          "padding 1 consumes the whole 2x2 output"),
+        (ad.conv2d, (0, 3, 8, 8), (4, 3, 4, 4), 2, 1,
+         r"conv2d input has no samples or no channels, got shape \(0, 3, 8, 8\)"),
+        (ad.conv2d, (2, 0, 8, 8), (4, 0, 4, 4), 2, 1,
+         r"conv2d input has no samples or no channels, got shape \(2, 0, 8, 8\)"),
+        (ad.conv_transpose2d, (0, 3, 4, 4), (3, 4, 4, 4), 2, 1,
+         r"conv_transpose2d input has no samples or no channels, got shape \(0, 3, 4, 4\)"),
+        (ad.conv_transpose2d, (2, 0, 4, 4), (0, 4, 4, 4), 2, 1,
+         r"conv_transpose2d input has no samples or no channels, got shape \(2, 0, 4, 4\)"),
     ], ids=["conv2d-stride-0", "conv_transpose2d-stride-0", "conv2d-padding-minus-1",
             "conv_transpose2d-padding-minus-1", "conv2d-3-d-input", "conv_transpose2d-3-d-input",
             "conv2d-3-d-kernel", "conv_transpose2d-3-d-kernel",
-            "conv_transpose2d-padding-consumes-output"])
+            "conv_transpose2d-padding-consumes-output", "conv2d-no-samples",
+            "conv2d-no-channels", "conv_transpose2d-no-samples", "conv_transpose2d-no-channels"])
     def test_rejects_bad_geometry(self, op, x_shape, k_shape, stride, padding, message):
         with pytest.raises(DimensionError, match=message):
             op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), stride, padding)
