@@ -74,7 +74,7 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise InputError(f"write_pgm expects a 2-D array, got shape {image.shape}")
-    if maxval not in (255, 65535):
+    if check_count("maxval", maxval, 1) not in (255, 65535):
         raise ConfigurationError(f"maxval must be 255 or 65535, got {maxval}")
     if np.isnan(image).any():
         raise InputError("write_pgm: image holds NaN")

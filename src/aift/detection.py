@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad, per_sample
 from .data import _tiles
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError, check_count
 from .model import AiftParams, F2I, generate
 from .spectral import spectrum_image
 
@@ -103,8 +103,8 @@ def detect_images(params: AiftParams, images, stride: int | None = None) -> list
     and a chunk's tiles are cut and normalized only when it is scored.
     """
     p = params.patch_size
-    stride = p if stride is None else stride
-    if not 1 <= stride <= p:
+    stride = p if stride is None else check_count("stride", stride, 1)
+    if stride > p:
         raise ConfigurationError(f"stride must lie in [1, {p}], got {stride}")
     images = [np.asarray(image, dtype=np.float64) for image in images]
     for k, image in enumerate(images):

@@ -70,31 +70,21 @@ class AiftParams:
 
 
 def _layer_plan(patch_size: int, base_channels: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) listing; fixes both init order and file order."""
-    chans = [base_channels << i for i in range(N_STAGES)]
+    """Canonical (name, shape) listing; fixes both init order and file order.
+
+    The table below is the model's four conv stacks as (prefix, channel
+    widths from input to output); a ``.dec_`` stack is transposed convs.
+    """
+    enc = [1] + [base_channels << i for i in range(N_STAGES)]
     plan: list[tuple[str, tuple[int, ...]]] = []
-    in_c = 1
-    for i, c in enumerate(chans):
-        plan.append((f"gen.enc.{i}.w", (c, in_c, 4, 4)))
-        plan.append((f"gen.enc.{i}.b", (c,)))
-        in_c = c
-    dec_out = [chans[2], chans[1], chans[0], 1]
-    for head in ("dec_image", "dec_freq"):
-        in_c = chans[-1]
-        for i, c in enumerate(dec_out):
-            plan.append((f"gen.{head}.{i}.w", (in_c, c, 4, 4)))
-            plan.append((f"gen.{head}.{i}.b", (c,)))
-            in_c = c
-    in_c = 1
-    for i, c in enumerate(chans):
-        plan.append((f"disc.trunk.{i}.w", (c, in_c, 4, 4)))
-        plan.append((f"disc.trunk.{i}.b", (c,)))
-        in_c = c
-    side = patch_size >> N_STAGES
-    feat = chans[-1] * side * side
+    for prefix, widths in (("gen.enc", enc), ("gen.dec_image", enc[::-1]),
+                           ("gen.dec_freq", enc[::-1]), ("disc.trunk", enc)):
+        for i, (c_in, c_out) in enumerate(zip(widths, widths[1:])):
+            kernel = (c_in, c_out) if ".dec_" in prefix else (c_out, c_in)
+            plan += [(f"{prefix}.{i}.w", (*kernel, 4, 4)), (f"{prefix}.{i}.b", (c_out,))]
+    feat = enc[-1] * (patch_size >> N_STAGES) ** 2
     for head in ("image_head", "freq_head"):
-        plan.append((f"disc.{head}.w", (feat, 1)))
-        plan.append((f"disc.{head}.b", (1,)))
+        plan += [(f"disc.{head}.w", (feat, 1)), (f"disc.{head}.b", (1,))]
     return plan
 
 
@@ -148,11 +138,16 @@ def _check_patch_batch(params: AiftParams, x: Tensor, who: str) -> Tensor:
 
 
 def _run_conv_stack(params: AiftParams, x: Tensor, prefix: str) -> Tensor:
+    """Run one conv stack of ``_layer_plan``'s table: stride 2, padding 1 and
+    a LeakyReLU after every layer but a decoder's last."""
+    decoder = ".dec_" in prefix
     h = x
     for i in range(N_STAGES):
-        w = params.tensors[f"{prefix}.{i}.w"]
-        b = params.tensors[f"{prefix}.{i}.b"]
-        h = ad.conv2d(h, w, stride=2, padding=1, bias=b, leak=_LEAK)
+        # looked up through ``ad`` at call time, so a wrapper on the module sees every layer
+        conv = ad.conv_transpose2d if decoder else ad.conv2d
+        leak = None if decoder and i == N_STAGES - 1 else _LEAK
+        h = conv(h, params.tensors[f"{prefix}.{i}.w"], stride=2, padding=1,
+                 bias=params.tensors[f"{prefix}.{i}.b"], leak=leak)
     return h
 
 
@@ -161,14 +156,8 @@ def generate(params: AiftParams, x: Tensor, direction: str) -> Tensor:
     if direction not in DIRECTIONS:
         raise ConfigurationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     x = _check_patch_batch(params, x, "generate")
-    h = _run_conv_stack(params, x, "gen.enc")
     head = "gen.dec_freq" if direction == I2F else "gen.dec_image"
-    for i in range(N_STAGES):
-        w = params.tensors[f"{head}.{i}.w"]
-        b = params.tensors[f"{head}.{i}.b"]
-        leak = None if i == N_STAGES - 1 else _LEAK
-        h = ad.conv_transpose2d(h, w, stride=2, padding=1, bias=b, leak=leak)
-    return ad.sigmoid(h)
+    return ad.sigmoid(_run_conv_stack(params, _run_conv_stack(params, x, "gen.enc"), head))
 
 
 def discriminate(params: AiftParams, x: Tensor, domain: str) -> Tensor:

@@ -158,9 +158,19 @@ class TestPgmIo:
             write_pgm(tmp_path / "x.pgm", img)
         assert not (tmp_path / "x.pgm").exists()
 
-    def test_write_rejects_odd_maxval(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=1000)
+    @pytest.mark.parametrize("maxval", [1000, 255.0, 65535.0, np.float64(255), True],
+                             ids=["1000", "255.0", "65535.0", "float64-255", "True"])
+    def test_write_rejects_odd_maxval(self, tmp_path, maxval):
+        with pytest.raises(ConfigurationError, match="maxval"):
+            write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=maxval)
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("maxval", [np.int64(255), np.uint16(65535)])
+    def test_write_takes_numpy_integer_maxval(self, tmp_path, maxval):
+        img = np.linspace(0, 1, 16).reshape(4, 4)
+        write_pgm(tmp_path / "x.pgm", img, maxval=maxval)
+        write_pgm(tmp_path / "y.pgm", img, maxval=int(maxval))
+        assert (tmp_path / "x.pgm").read_bytes() == (tmp_path / "y.pgm").read_bytes()
 
 
 class TestLoadImage:

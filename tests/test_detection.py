@@ -151,11 +151,16 @@ class TestDetectFullImage:
         with pytest.raises(DimensionError):
             detect_full_image(params16, np.zeros((8, 8)))
 
-    def test_stride_bounds(self, params16):
-        with pytest.raises(ConfigurationError):
-            detect_full_image(params16, np.zeros((16, 16)), stride=0)
-        with pytest.raises(ConfigurationError):
-            detect_full_image(params16, np.zeros((16, 16)), stride=17)
+    @pytest.mark.parametrize("stride", [0, 17, 8.0, np.float64(4), True])
+    def test_stride_bounds(self, params16, stride, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a generator pass ran before the stride check")
+
+        monkeypatch.setattr(aift.detection, "generate", no_pass)
+        with pytest.raises(ConfigurationError, match="stride"):
+            detect_full_image(params16, np.zeros((16, 16)), stride=stride)
+        with pytest.raises(ConfigurationError, match="stride"):
+            detect_images(params16, [np.zeros((16, 16))], stride=stride)
 
 
 def _road():

@@ -95,8 +95,56 @@ class TestInit:
         assert p.stage_channels() == [4, 8, 16, 32]
         assert p.tensors["gen.enc.3.w"].shape == (32, 16, 4, 4)
 
+    def test_architecture_is_pinned_in_file_order(self):
+        # written out by hand: a reordered, renamed or reshaped entry fails here
+        enc = [
+            ((2, 1, 4, 4), (2,)), ((4, 2, 4, 4), (4,)),
+            ((8, 4, 4, 4), (8,)), ((16, 8, 4, 4), (16,)),
+        ]
+        dec = [
+            ((16, 8, 4, 4), (8,)), ((8, 4, 4, 4), (4,)),
+            ((4, 2, 4, 4), (2,)), ((2, 1, 4, 4), (1,)),
+        ]
+        want = []
+        for prefix, layers in (("gen.enc", enc), ("gen.dec_image", dec),
+                               ("gen.dec_freq", dec), ("disc.trunk", enc)):
+            for i, (w, b) in enumerate(layers):
+                want += [(f"{prefix}.{i}.w", w), (f"{prefix}.{i}.b", b)]
+        want += [("disc.image_head.w", (16, 1)), ("disc.image_head.b", (1,)),
+                 ("disc.freq_head.w", (16, 1)), ("disc.freq_head.b", (1,))]
+        assert len(want) == 36
+        p = init_params(16, 0, base_channels=2)
+        assert [(n, t.shape) for n, t in p.tensors.items()] == want
+
 
 class TestForward:
+    @pytest.mark.parametrize("patch", [16, 32])
+    def test_forward_passes_equal_the_layers_by_hand(self, patch):
+        p = init_params(patch, 3, base_channels=2)
+        t = p.tensors
+        x = Tensor(np.random.default_rng(8).uniform(0, 1, (3, 1, patch, patch)).astype(np.float32))
+
+        def layer(conv, h, name, leak=0.2):
+            return conv(h, t[f"{name}.w"], stride=2, padding=1, bias=t[f"{name}.b"], leak=leak)
+
+        enc = x
+        for i in range(4):
+            enc = layer(ad.conv2d, enc, f"gen.enc.{i}")
+        for direction, head in ((I2F, "gen.dec_freq"), (F2I, "gen.dec_image")):
+            h = layer(ad.conv_transpose2d, enc, f"{head}.0")
+            h = layer(ad.conv_transpose2d, h, f"{head}.1")
+            h = layer(ad.conv_transpose2d, h, f"{head}.2")
+            h = layer(ad.conv_transpose2d, h, f"{head}.3", leak=None)
+            got = generate(p, x, direction).data
+            assert got.dtype == np.float32
+            assert got.tobytes() == ad.sigmoid(h).data.tobytes()
+        trunk = x
+        for i in range(4):
+            trunk = layer(ad.conv2d, trunk, f"disc.trunk.{i}")
+        for domain, head in (("image", "disc.image_head"), ("frequency", "disc.freq_head")):
+            want = ad.sigmoid(ad.dense(ad.flatten(trunk), t[f"{head}.w"], t[f"{head}.b"]))
+            assert discriminate(p, x, domain).data.tobytes() == want.data.tobytes()
+
     @pytest.mark.parametrize("patch", [16, 32])
     def test_generator_shapes(self, patch):
         p = init_params(patch, 0, base_channels=4)
