@@ -483,8 +483,6 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
     strided views of the product; it is taken when there are fewer rows than
     kernels, as at batch 1 on the deepest layers, where it is the faster
     route.  The routes differ only in column order, so in no output bit.
-    Under ``per_sample`` the route is picked by the rows of one sample, as a
-    batch-1 call picks it.
     """
     n, _, h, w = y.shape
     s = stride
@@ -493,7 +491,7 @@ def _correlate_adjoint(y: np.ndarray, k: np.ndarray, stride: int, padding: int,
     th, tw = -(-kh // s), -(-kw // s)
     if (th * s, tw * s) != (kh, kw):
         k = np.pad(k, ((0, 0), (0, 0), (0, th * s - kh), (0, tw * s - kw)))
-    if (h * w if _per_sample else rows.shape[0]) < kk:
+    if rows.shape[0] < kk:
         # [N, H, W, di, dj, a, b, C]
         taps = _matmul(rows, k.transpose(0, 2, 3, 1).reshape(kk, -1), n)
         taps = taps.reshape(n, h, w, th, s, tw, s, c).transpose(0, 1, 2, 3, 5, 4, 6, 7)
@@ -529,8 +527,11 @@ def _check_conv(x: Tensor, k: Tensor, bias: Tensor | None, leak: float | None, s
                 padding: int, transpose: bool) -> None:
     op, axes = ("conv_transpose2d", "C, K") if transpose else ("conv2d", "K, C")
     # NaN fails both comparisons
-    if leak is not None and not 0.0 < leak <= 1.0:
+    if leak is not None and (isinstance(leak, (bool, np.bool_)) or not 0.0 < leak <= 1.0):
         raise DomainError(f"{op}: leak must lie in (0, 1], got {leak}")
+    for name, value in (("stride", stride), ("padding", padding)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DimensionError(f"{name} must be an integer, got {value!r}")
     if stride < 1:
         raise DimensionError(f"stride must be >= 1, got {stride}")
     if padding < 0:

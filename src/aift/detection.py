@@ -7,12 +7,12 @@ during training) disagree with the input.  The disagreement is measured
 per pixel with the symmetric Jeffrey divergence, giving a score map whose
 sum is the patch-level anomaly score.
 
-Every patch is scored through one private core that takes a stack of
-patches: ``detect`` scores a stack of one, ``detect_images`` scores the
-tiles of a list of images in chunks of ``_CHUNK``, and ``detect_full_image``
-is ``detect_images`` of one image.  The tiles come from ``data._tiles``,
-the cutter that also gives ``aift train`` its patches, so scoring sees the
-windows and the min-max normalization that training saw.  The core runs
+Every patch is scored by one loop, in ``detect_images``: it scores the
+tiles of a list of images in chunks of ``_CHUNK``.  ``detect`` is
+``detect_images`` of one patch and ``detect_full_image`` is
+``detect_images`` of one image.  The tiles come from ``data._tiles``, the
+cutter that also gives ``aift train`` its patches, so scoring sees the
+windows and the min-max normalization that training saw.  The loop runs
 the generator under ``autodiff.per_sample``, so each patch gets the bits it
 gets alone.
 
@@ -70,29 +70,18 @@ class DetectionResult:
     image_score: float
 
 
-def _score(params: AiftParams, patches: np.ndarray) -> np.ndarray:
-    """Score maps [B, P, P] of a stack of B normalized patches."""
-    with no_grad(), per_sample():
-        freq = Tensor(spectrum_image(patches)[:, None])
-        regenerated = generate(params, freq, F2I).data[:, 0]
-    return jeffrey_divergence(patches, regenerated)[1]
-
-
 def detect(params: AiftParams, image: np.ndarray) -> DetectionResult:
-    """Score one normalized patch against a trained model.
+    """Score one patch against a trained model: ``detect_images`` of one patch.
 
-    The patch is regenerated from its frequency encoding (``spectrum_image``)
-    by the frequency-to-image generator, and the score map is the per-pixel
-    Jeffrey divergence between the patch and its regeneration.
+    The patch is min-max normalized as training patches are (a normalized
+    patch keeps every bit) and regenerated from its frequency encoding
+    (``spectrum_image``) by the frequency-to-image generator; the score map
+    is the per-pixel Jeffrey divergence between the two.
     """
-    image = np.asarray(image, dtype=np.float64)
     p = params.patch_size
-    if image.shape != (p, p):
-        raise DimensionError(f"detect expects a ({p}, {p}) patch, got {image.shape}")
-    if not (image.min() >= 0.0 and image.max() <= 1.0):  # also true for NaN
-        raise DomainError("detect: image values must lie in [0, 1]; normalize first")
-    score_map = _score(params, image[None])[0]
-    return DetectionResult(score_map=score_map, image_score=float(score_map.sum()))
+    if np.shape(image) != (p, p):
+        raise DimensionError(f"detect expects a ({p}, {p}) patch, got {np.shape(image)}")
+    return detect_images(params, [image])[0]
 
 
 def detect_images(params: AiftParams, images, stride: int | None = None) -> list[DetectionResult]:
@@ -117,7 +106,11 @@ def detect_images(params: AiftParams, images, stride: int | None = None) -> list
     acc = [np.zeros(image.shape) for image in images]
     cover = [np.zeros(image.shape) for image in images]
     while chunk := list(islice(tiles, _CHUNK)):
-        maps = _score(params, np.stack([tile for *_, tile in chunk]))
+        patches = np.stack([tile for *_, tile in chunk])
+        with no_grad(), per_sample():
+            freq = Tensor(spectrum_image(patches)[:, None])
+            regenerated = generate(params, freq, F2I).data[:, 0]
+        maps = jeffrey_divergence(patches, regenerated)[1]
         for (k, y, x, _), score_map in zip(chunk, maps):
             acc[k][y:y + p, x:x + p] += score_map
             cover[k][y:y + p, x:x + p] += 1.0

@@ -186,13 +186,17 @@ def f_measure(pred_bin: np.ndarray, gt: np.ndarray, tolerance: float = 0.0) -> f
 
 
 def auroc(scores, labels) -> float:
-    """Area under the ROC curve via the rank-based Mann-Whitney statistic."""
+    """Area under the ROC curve via the rank-based Mann-Whitney statistic.
+
+    A label is a bool or the integer 0 or 1; True or 1 marks a defect."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise DimensionError(f"{scores.size} scores vs {labels.size} labels")
     if not np.all(np.isfinite(scores)):
         raise MetricError("auroc: non-finite score")
+    if labels.dtype.kind not in "biu" or not np.all((labels == 0) | (labels == 1)):
+        raise MetricError("auroc: labels must be bools or the integers 0 and 1")
     labels = labels.astype(bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos

@@ -534,7 +534,7 @@ class TestConvolutionValues:
                bias=Tensor(np.zeros(bias_shape)))
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv_transpose2d"])
-    @pytest.mark.parametrize("leak", [0.0, -0.2, 1.5, np.nan, np.inf])
+    @pytest.mark.parametrize("leak", [0.0, -0.2, 1.5, np.nan, np.inf, True, np.True_])
     def test_leak_must_lie_in_zero_one(self, transpose, leak):
         op, kshape = (ad.conv_transpose2d, (1, 3, 2, 2)) if transpose else (ad.conv2d, (3, 1, 2, 2))
         name = "conv_transpose2d" if transpose else "conv2d"
@@ -617,11 +617,27 @@ class TestConvolutionValues:
          r"conv_transpose2d input has no samples or no channels, got shape \(0, 3, 4, 4\)"),
         (ad.conv_transpose2d, (2, 0, 4, 4), (0, 4, 4, 4), 2, 1,
          r"conv_transpose2d input has no samples or no channels, got shape \(2, 0, 4, 4\)"),
+        (ad.conv2d, (1, 1, 8, 8), (1, 1, 2, 2), 2.0, 0, "stride must be an integer, got 2.0"),
+        (ad.conv2d, (1, 1, 8, 8), (1, 1, 2, 2), True, 0, "stride must be an integer, got True"),
+        (ad.conv2d, (1, 1, 8, 8), (1, 1, 2, 2), 1, 1.0, "padding must be an integer, got 1.0"),
+        (ad.conv2d, (1, 1, 8, 8), (1, 1, 2, 2), 1, True, "padding must be an integer, got True"),
+        (ad.conv_transpose2d, (1, 1, 4, 4), (1, 1, 2, 2), 2.0, 0,
+         "stride must be an integer, got 2.0"),
+        (ad.conv_transpose2d, (1, 1, 4, 4), (1, 1, 2, 2), True, 0,
+         "stride must be an integer, got True"),
+        # numpy scalars: the repr after "got" depends on the numpy version
+        (ad.conv_transpose2d, (1, 1, 4, 4), (1, 1, 2, 2), 1, np.float64(1),
+         "padding must be an integer, got "),
+        (ad.conv_transpose2d, (1, 1, 4, 4), (1, 1, 2, 2), 1, np.True_,
+         "padding must be an integer, got "),
     ], ids=["conv2d-stride-0", "conv_transpose2d-stride-0", "conv2d-padding-minus-1",
             "conv_transpose2d-padding-minus-1", "conv2d-3-d-input", "conv_transpose2d-3-d-input",
             "conv2d-3-d-kernel", "conv_transpose2d-3-d-kernel",
             "conv_transpose2d-padding-consumes-output", "conv2d-no-samples",
-            "conv2d-no-channels", "conv_transpose2d-no-samples", "conv_transpose2d-no-channels"])
+            "conv2d-no-channels", "conv_transpose2d-no-samples", "conv_transpose2d-no-channels",
+            "conv2d-float-stride", "conv2d-bool-stride", "conv2d-float-padding",
+            "conv2d-bool-padding", "conv_transpose2d-float-stride", "conv_transpose2d-bool-stride",
+            "conv_transpose2d-numpy-float-padding", "conv_transpose2d-numpy-bool-padding"])
     def test_rejects_bad_geometry(self, op, x_shape, k_shape, stride, padding, message):
         with pytest.raises(DimensionError, match=message):
             op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), stride, padding)

@@ -105,8 +105,17 @@ class TestDetect:
     def test_nan_pixel_fails_the_range_check(self, params16):
         img = RNG.uniform(0, 1, (16, 16))
         img[3, 4] = np.nan
-        with pytest.raises(DomainError, match=r"detect: image values must lie in \[0, 1\]"):
+        with pytest.raises(DomainError, match=r"^image values must lie in \[0, 1\]; "
+                                              r"normalize first \(image 0\)$"):
             detect(params16, img)
+
+    def test_raw_patch_scores_as_its_normalized_self(self, params16):
+        img = np.random.default_rng(3).uniform(0, 1, (16, 16))  # min > 0, max < 1
+        assert not np.array_equal(img, normalize_patch(img))
+        raw = detect(params16, img)
+        for other in (detect(params16, normalize_patch(img)), detect_full_image(params16, img)):
+            assert raw.score_map.tobytes() == other.score_map.tobytes()
+            assert raw.image_score == other.image_score
 
 
 class TestDetectFullImage:

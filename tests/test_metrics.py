@@ -228,6 +228,12 @@ class TestAuroc:
         with pytest.raises(error, match=message):
             auroc(scores, [True, False, True, False])
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1], [0.0, 1.0, 1.0], ["0", "1", "1"]],
+                             ids=["two", "minus-one", "float", "str"])
+    def test_labels_are_bools_or_zero_one(self, labels):
+        with pytest.raises(MetricError, match="labels must be bools or the integers 0 and 1"):
+            auroc([0.1, 0.2, 0.3], labels)
+
     def test_shuffled_labels_near_half(self):
         rng = np.random.default_rng(0)
         scores = rng.uniform(0, 1, 200)
