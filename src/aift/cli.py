@@ -16,6 +16,11 @@ file; the kernel releases it when the run ends, however it ends.  All
 numerical outputs are deterministic for a fixed seed: floats are serialized
 with ``repr`` so reruns produce byte-identical CSVs.
 
+Each command imports the engine modules it runs in its own body, so a
+process loads only those: ``synth`` runs on ``data`` alone and ``eval`` adds
+only ``metrics``.  At module level this file imports the errors, the data
+formats and the training settings that its parser needs.
+
 Exit codes: 0 success, 2 configuration error (every settings error, from a
 flag or a config file, prints one ``aift: configuration error:`` line), 3
 input error, 4 integrity error, 1 any other failure.  A failure with code
@@ -37,16 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import Tensor, no_grad
+from .config import LOSS_MODES, TrainConfig
 from .data import (DatasetManifest, ManifestEntry, SynthConfig, _tiles, load_image,
                    normalize_patch, read_pgm, synth_corpus, write_pgm)
-from .detection import detect_images
 from .errors import (AiftError, ConfigurationError, InputError, IntegrityError)
-from .metrics import evaluate
-from .model import (F2I, I2F, PATCH_SIZES, generate, load_checkpoint,
-                    save_checkpoint)
-from .spectral import spectrum_image
-from .training import LOSS_MODES, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -263,6 +262,7 @@ def _run_dir(args: argparse.Namespace):
 
 
 def _infer_patch_size(image: np.ndarray, flag_value: int) -> int:
+    from .model import PATCH_SIZES
     if flag_value:
         if flag_value not in PATCH_SIZES:
             raise ConfigurationError(
@@ -276,6 +276,7 @@ def _infer_patch_size(image: np.ndarray, flag_value: int) -> int:
 
 
 def _load_training_arrays(manifest: DatasetManifest, patch_flag: int):
+    from .spectral import spectrum_image
     entries = manifest.train_entries()
     if not entries:
         raise InputError(f"manifest under {manifest.root} has no training entries")
@@ -372,6 +373,8 @@ def cmd_synth(args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
+    from .model import save_checkpoint
+    from .training import train
     manifest = DatasetManifest.load(args.data)
     images, freqs, patch = _load_training_arrays(manifest, args.patch_size)
     cfg = _train_config(args, args.loss, args.seed)
@@ -391,6 +394,9 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 
 def cmd_transform(args: argparse.Namespace) -> None:
+    from .autodiff import Tensor, no_grad
+    from .model import F2I, I2F, generate, load_checkpoint
+    from .spectral import spectrum_image
     params = load_checkpoint(args.ckpt)
     image = load_image(args.image)
     p = params.patch_size
@@ -416,6 +422,8 @@ def cmd_transform(args: argparse.Namespace) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> None:
+    from .detection import detect_images
+    from .model import load_checkpoint
     params = load_checkpoint(args.ckpt)
     p = params.patch_size
     if not 0 <= args.stride <= p:
@@ -510,6 +518,7 @@ def _load_maps_and_gt(maps_dir: str, gt_dir: str):
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
+    from .metrics import evaluate
     if not args.maps and not args.scores:
         raise ConfigurationError("pass --maps (with --gt) and/or --scores")
     if args.maps and not args.gt:
@@ -530,6 +539,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 
 def cmd_ablation(args: argparse.Namespace) -> None:
+    from .detection import detect_images
+    from .metrics import evaluate
+    from .training import train
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:

@@ -44,53 +44,21 @@ the model.
 
 from __future__ import annotations
 
-import numbers
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .errors import ConfigurationError, ContractError, DimensionError, check_count
+from .config import LOSS_MODES, TrainConfig  # noqa: F401  (LOSS_MODES is re-exported)
+from .errors import ConfigurationError, ContractError, DimensionError
 from .model import (AiftParams, F2I, I2F, MODEL_DTYPE, generate, discriminate,
                     init_params)
 from .optim import Adam
 
-LOSS_MODES = ("re", "gan", "total")
 LIKELIHOOD_EPS = 1e-7
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 64
-    lam: float = 0.1
-    critic_iters: int = 10
-    lr: float = 2e-4
-    beta1: ClassVar[float] = 0.5  # Adam's betas are fixed, not settings
-    beta2: ClassVar[float] = 0.999
-    loss_mode: str = "total"
-    seed: int = 0
-    base_channels: int = 32
-
-    def validate(self) -> "TrainConfig":
-        for name in ("epochs", "batch_size", "critic_iters", "base_channels"):
-            check_count(name, getattr(self, name), 1)
-        check_count("seed", self.seed, 0)
-        for name, value in (("lambda", self.lam), ("lr", self.lr)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"{name} must be a number, got {value!r}")
-        if not 0.0 <= self.lam < np.inf:
-            raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.lr < np.inf:
-            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigurationError(
-                f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        return self
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import argparse
 import fcntl
+import json
 import math
 import os
 import struct
@@ -17,14 +18,15 @@ import pytest
 
 import aift
 from aift import __version__
-from aift.cli import _load_training_arrays, _map_stem, _parse_args, _run_dir, _train_config, main
+from aift.cli import (_build_parser, _load_training_arrays, _map_stem, _parse_args, _run_dir,
+                      _train_config, main)
 from aift.errors import IntegrityError
 from aift.data import (DatasetManifest, ManifestEntry, SynthConfig, load_image, read_pgm,
                        write_pgm, normalize_patch)
 from aift.detection import _CHUNK
 from aift.model import generate, init_params, save_checkpoint
 from aift.spectral import spectrum_image
-from aift.training import TrainConfig, train
+from aift.training import TrainConfig, TrainLog, train
 from oracles import tile_grid
 
 
@@ -119,6 +121,14 @@ def assert_failed_without_output(rc, code, kind, capsys, out, *words):
     assert not out.exists()
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this ``aift``."""
+    env = dict(os.environ)
+    src = str(Path(aift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_module(cwd, code, *argv):
     """Run ``python -m aift.cli *argv`` from ``cwd`` in a fresh interpreter.
 
@@ -128,12 +138,9 @@ def run_module(cwd, code, *argv):
     ``cwd``, where the caller points ``--out``, as it found it.  Returns the
     stderr line.
     """
-    env = dict(os.environ)
-    src = str(Path(aift.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     before = sorted(cwd.rglob("*"))
     proc = subprocess.run([sys.executable, "-m", "aift.cli", *map(str, argv)],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=cwd, env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1, err
@@ -178,6 +185,24 @@ class TestArgumentHandling:
         assert _train_config(args, "total", 0) == TrainConfig()
         args = _parse_args(["synth", "--normal", "1", "--defect", "1", "--out", "o"])
         assert args.patch_size == SynthConfig.patch_size
+
+    @pytest.mark.parametrize("command, extra, loss_line", [
+        ("train", [], "loss = total"),
+        ("ablation", ["--seeds", "0"], "loss-modes = re,gan,total"),
+    ])
+    def test_training_defaults_in_the_config_echo(self, command, extra, loss_line, corpus,
+                                                  tmp_path, monkeypatch):
+        # an untrained stand-in model: the echo is of the parsed settings alone
+        monkeypatch.setattr("aift.training.train",
+                            lambda *a, **k: (init_params(16, seed=0, base_channels=2), TrainLog()))
+        out = tmp_path / "run"
+        assert main([command, "--data", str(corpus), *extra, "--out", str(out)]) == 0
+        echo = (out / "effective-config.txt").read_text().splitlines()
+        for line in ("epochs = 50", "batch = 64", "lambda = 0.1", "critic-iters = 10",
+                     "lr = 0.0002", "base-channels = 32", loss_line):
+            assert line in echo
+        loss = _build_parser()[1]["train"]._option_string_actions["--loss"]
+        assert loss.choices == ("re", "gan", "total")
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1057,7 +1082,7 @@ class TestAblation:
             trained.append((cfg.loss_mode, cfg.seed))
             return train(dataset, cfg, **kwargs)
 
-        monkeypatch.setattr("aift.cli.train", counting_train)
+        monkeypatch.setattr("aift.training.train", counting_train)
         out = tmp_path / "run"
         rc = main(["ablation", "--data", str(corpus), "--seeds", "1,0,1",
                    "--loss-modes", "total,re", "--epochs", "1", "--batch", "4",
@@ -1071,7 +1096,7 @@ class TestAblation:
 
     def test_one_class_test_split_trains_nothing(self, tmp_path, monkeypatch, capsys):
         trained = []
-        monkeypatch.setattr("aift.cli.train", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr("aift.training.train", lambda *a, **k: trained.append(a))
         data = small_corpus(tmp_path)  # its one test image is normal
         out = tmp_path / "run"
         rc = main(["ablation", "--data", str(data), "--seeds", "0", "--out", str(out)])
@@ -1086,7 +1111,7 @@ class TestAblation:
         write_pgm(data / "masks" / "test_defect_00000.pgm", np.zeros((8, 8)))
         capsys.readouterr()
         trained = []
-        monkeypatch.setattr("aift.cli.train", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr("aift.training.train", lambda *a, **k: trained.append(a))
         out = tmp_path / "abl"
         rc = main(["ablation", "--data", str(data), "--seeds", "0", "--loss-modes", "re",
                    "--epochs", "1", "--batch", "4", "--critic-iters", "1",
@@ -1094,3 +1119,48 @@ class TestAblation:
         assert_failed_without_output(rc, 3, "input error", capsys, out,
                                      "mask test_defect_00000: shape (8, 8) differs")
         assert trained == []
+
+
+def modules_loaded(cwd, *commands) -> list[set[str]]:
+    """The ``aift`` modules a fresh interpreter holds after ``import aift``
+    and after each of ``commands``, run in turn through ``main``."""
+    script = ("import json, sys\n"
+              "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'aift')\n"
+              "import aift\n"
+              "steps = [loaded()]\n"
+              "from aift.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n"
+              "    steps.append(loaded())\n"
+              "print(json.dumps(steps))\n")
+    argvs = json.dumps([[str(a) for a in argv] for argv in commands])
+    proc = subprocess.run([sys.executable, "-c", script, argvs], cwd=cwd, env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [set(step) for step in json.loads(proc.stdout.splitlines()[-1])]
+
+
+class TestModuleLoading:
+    """Each command loads only the modules it runs, which keeps start-up short."""
+
+    def test_import_aift_loads_no_submodule(self, tmp_path):
+        assert modules_loaded(tmp_path) == [{"aift"}]
+
+    def test_synth_and_eval_load_no_model_code(self, corpus, detect_run, tmp_path):
+        _, after_synth, after_eval = modules_loaded(
+            tmp_path,
+            ["synth", "--normal", "2", "--defect", "1", "--patch-size", "8",
+             "--out", tmp_path / "corpus"],
+            ["eval", "--scores", detect_run / "scores.csv", "--maps", detect_run / "maps",
+             "--gt", corpus / "masks", "--tolerance", "2", "--out", tmp_path / "eval"])
+        engine = {f"aift.{m}" for m in
+                  ("autodiff", "model", "optim", "training", "detection", "spectral")}
+        assert not after_synth & engine
+        assert not after_eval & engine
+        assert "aift.metrics" in after_eval
+
+    def test_detect_loads_no_training_or_metrics_code(self, corpus, ckpt, tmp_path):
+        _, after_detect = modules_loaded(
+            tmp_path, ["detect", "--ckpt", ckpt, "--data", corpus, "--out", tmp_path / "run"])
+        assert "aift.detection" in after_detect
+        assert not after_detect & {"aift.training", "aift.optim", "aift.metrics"}
